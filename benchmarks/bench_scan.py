@@ -1,17 +1,15 @@
-"""Scan-pipeline benchmark: array plane vs object path vs reference.
+"""Scan-pipeline benchmark: the array plane vs the reference path.
 
 Builds one target pool from the standard per-prefix 6Gen run, then
 scans growing tiers of it with (a) the sequential per-address reference
-path, (b) the batched *object* path (``use_arrays=False`` — Python-int
-batches through the list[bool] lookups), and (c) the batched *array*
-plane (packed uint64 hi/lo columns, vectorised lookups), verifying on
-every tier that all paths produce identical hits *and* identical
-``ScanStats`` — the parity contract the engine promises for a fixed
-``rng_seed``.  A lossy tier exercises the order-independent loss PRF,
-and a multi-worker run checks that shared-memory process sharding
-reproduces the reference hit set.  Medians and speedups land in
-``benchmarks/results/BENCH_scan.json`` (see docs/performance.md for
-how to read the tiers).
+path and (b) the batched *array* plane (packed uint64 hi/lo columns,
+vectorised lookups), verifying on every tier that both produce
+identical hits *and* identical ``ScanStats`` — the parity contract the
+engine promises for a fixed ``rng_seed``.  A lossy tier exercises the
+order-independent loss PRF, and a multi-worker run checks that
+shared-memory process sharding reproduces the reference hit set.
+Medians and speedups land in ``benchmarks/results/BENCH_scan.json``
+(see docs/performance.md for how to read the tiers).
 
 Standalone script, not a pytest benchmark — CI runs it with ``--quick``
 and fails the build if the paths ever diverge, and the ``scan-speedup``
@@ -84,7 +82,6 @@ def bench_tier(
     targets = pool[:n]
     configs = {
         "reference": ScanConfig(use_batched=False),
-        "object": ScanConfig(use_arrays=False),
         "arrays": ScanConfig(),
     }
     timings: dict[str, list[float]] = {name: [] for name in configs}
@@ -101,24 +98,19 @@ def bench_tier(
             )
             results[name], elapsed = time_call(lambda s=scanner: s.scan(targets))
             timings[name].append(elapsed)
-        for name in ("object", "arrays"):
-            if (
-                results[name].hits != results["reference"].hits
-                or results[name].stats != results["reference"].stats
-            ):
-                identical = False
+        if (
+            results["arrays"].hits != results["reference"].hits
+            or results["arrays"].stats != results["reference"].stats
+        ):
+            identical = False
     baseline = statistics.median(timings["reference"])
-    object_path = statistics.median(timings["object"])
     arrays = statistics.median(timings["arrays"])
     return {
         "targets": n,
         "loss_rate": loss_rate,
         "baseline_median_s": round(baseline, 4),
-        "batched_median_s": round(object_path, 4),
         "arrays_median_s": round(arrays, 4),
-        "speedup": round(baseline / object_path, 2) if object_path else None,
         "arrays_speedup": round(baseline / arrays, 2) if arrays else None,
-        "arrays_over_batched": round(object_path / arrays, 2) if arrays else None,
         "identical": identical,
     }
 
@@ -133,26 +125,18 @@ def check_workers(
         truth, blacklist=blacklist, loss_rate=0.1, rng_seed=RNG_SEED,
         config=ScanConfig(use_batched=False),
     ).scan(targets)
-    object_scanner = Scanner(
-        truth, blacklist=blacklist, loss_rate=0.1, rng_seed=RNG_SEED,
-        config=ScanConfig(workers=2, use_arrays=False),
-    )
-    object_pooled, object_s = time_call(lambda: object_scanner.scan(targets))
     arrays_scanner = Scanner(
         truth, blacklist=blacklist, loss_rate=0.1, rng_seed=RNG_SEED,
         config=ScanConfig(workers=2), telemetry=telemetry,
     )
-    arrays_pooled, arrays_s = time_call(lambda: arrays_scanner.scan(targets))
-    identical = all(
-        pooled.hits == reference.hits and pooled.stats == reference.stats
-        for pooled in (object_pooled, arrays_pooled)
-    )
+    pooled, arrays_s = time_call(lambda: arrays_scanner.scan(targets))
     return {
         "targets": len(targets),
         "workers": 2,
-        "pool_s": round(object_s, 4),
         "arrays_pool_s": round(arrays_s, 4),
-        "identical": identical,
+        "identical": (
+            pooled.hits == reference.hits and pooled.stats == reference.stats
+        ),
     }
 
 
@@ -173,7 +157,7 @@ def main(argv: list[str] | None = None) -> int:
         "--min-array-speedup",
         type=float,
         metavar="X.Y",
-        help="fail unless the array plane beats the object path by at "
+        help="fail unless the array plane beats the reference path by at "
              "least this factor on the largest lossless tier (CI "
              "scan-speedup gate)",
     )
@@ -212,10 +196,8 @@ def main(argv: list[str] | None = None) -> int:
         telemetry.event("progress", {"stage": "bench_tier", **row})
         print(
             f"targets={row['targets']:>7}  baseline={row['baseline_median_s']:.3f}s  "
-            f"object={row['batched_median_s']:.3f}s  "
             f"arrays={row['arrays_median_s']:.3f}s  "
             f"arrays_speedup={row['arrays_speedup']}x  "
-            f"arrays_over_batched={row['arrays_over_batched']}x  "
             f"identical={row['identical']}"
         )
     # One lossy tier: the loss PRF must stay order-independent.
@@ -225,7 +207,6 @@ def main(argv: list[str] | None = None) -> int:
     print(
         f"targets={lossy['targets']:>7}  loss=0.2  "
         f"baseline={lossy['baseline_median_s']:.3f}s  "
-        f"object={lossy['batched_median_s']:.3f}s  "
         f"arrays={lossy['arrays_median_s']:.3f}s  "
         f"identical={lossy['identical']}"
     )
@@ -233,7 +214,6 @@ def main(argv: list[str] | None = None) -> int:
     telemetry.event("progress", {"stage": "workers_check", **workers})
     print(
         f"workers={workers['workers']}  targets={workers['targets']}  "
-        f"object_pool={workers['pool_s']:.3f}s  "
         f"arrays_pool={workers['arrays_pool_s']:.3f}s  "
         f"identical={workers['identical']}"
     )
@@ -259,10 +239,10 @@ def main(argv: list[str] | None = None) -> int:
         # Gate on the largest lossless tier (the first rows are the
         # lossless ladder; the lossy tier is appended after them).
         gate_row = rows[len(tiers) - 1]
-        measured = gate_row["arrays_over_batched"]
+        measured = gate_row["arrays_speedup"]
         if measured is None or measured < args.min_array_speedup:
             print(
-                f"SPEEDUP GATE FAILED: arrays over object path "
+                f"SPEEDUP GATE FAILED: arrays over reference path "
                 f"{measured}x < {args.min_array_speedup}x "
                 f"at {gate_row['targets']} targets"
             )

@@ -49,8 +49,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: concentrates random-pick-answering hits, an aliased one always does.
 ALIAS_TEST_MIN_HITS = 3
 #: Hard per-phase, per-length cap on alias tests (most-hit prefixes
-#: first), bounding the charged detection cost at ~9 probes per test.
+#: first).
 ALIAS_TEST_MAX_TESTS = 64
+#: Most probes one alias test can charge: ``detect_aliased_prefixes``'
+#: 3 random addresses × 3 attempts each.
+ALIAS_TEST_MAX_PROBES = 3 * 3
 #: Coarse-to-fine test granularities: a whole aliased /64 spreads its
 #: hits one-per-/96, so the /64 pass must run first; the /96 pass then
 #: catches finer regions among the survivors.
@@ -596,10 +599,11 @@ class Campaign:
 
         Before the outcome reaches the allocation policy it is
         alias-discounted: the /96s concentrating this phase's hits get
-        the §6.2 random-probe test (charged against the budget), and
-        hits inside flagged /96s are excluded from the per-prefix
-        observations — a raw hit rate inflated by one magic /96 must
-        not attract the next phase's budget.  Raw hits still flow into
+        the §6.2 random-probe test (charged against, and limited to,
+        the budget the scan left), and hits inside flagged /96s are
+        excluded from the per-prefix observations — a raw hit rate
+        inflated by one magic /96 must not attract the next phase's
+        budget.  Raw hits still flow into
         the campaign result; final dealiasing stays where it was.
         """
         import numpy as np
@@ -611,7 +615,14 @@ class Campaign:
             return
         scan = self.execution.result()
         self.execution = None
-        verdicts, alias_cost = self._test_phase_aliases(scan.hits)
+        left = (
+            self._total_budget
+            - self._completed_stats.probes_sent
+            - scan.stats.probes_sent
+        )
+        if self.budget_ledger is not None:
+            left = min(left, self.budget_ledger.remaining())
+        verdicts, alias_cost = self._test_phase_aliases(scan.hits, max(left, 0))
         self._alias_verdicts.update(verdicts)
         self.alias_probes += alias_cost
         phase_stats = scan.stats.copy()
@@ -648,16 +659,19 @@ class Campaign:
             alias_probes=alias_cost,
         )
 
-    def _test_phase_aliases(self, hits: set) -> "tuple[dict, int]":
+    def _test_phase_aliases(
+        self, hits: set, allowance: int
+    ) -> "tuple[dict, int]":
         """§6.2 random-probe tests on the prefixes concentrating ``hits``.
 
         Runs coarse-to-fine over ``ALIAS_TEST_LENGTHS``: untested
         prefixes holding >= ``ALIAS_TEST_MIN_HITS`` hits are probed
         (most-hit first, capped at ``ALIAS_TEST_MAX_TESTS`` per
-        length), hits inside flagged prefixes are dropped before the
-        next, finer pass, and verdicts are cached for the campaign's
-        lifetime.  Returns the new verdicts and the probe cost, which
-        the caller charges.
+        length and at as many tests as ``allowance`` probes pay for),
+        hits inside flagged prefixes are dropped before the next,
+        finer pass, and verdicts are cached for the campaign's
+        lifetime.  Returns the new verdicts and the probe cost (never
+        above ``allowance``), which the caller charges.
         """
         from ..scanner.dealias import (
             detect_aliased_prefixes,
@@ -687,7 +701,12 @@ class Campaign:
                     and prefix not in self._alias_verdicts
                 ),
                 key=lambda p: (-len(groups[p]), str(p)),
-            )[:ALIAS_TEST_MAX_TESTS]
+            )[
+                : min(
+                    ALIAS_TEST_MAX_TESTS,
+                    (allowance - cost) // ALIAS_TEST_MAX_PROBES,
+                )
+            ]
             if not candidates:
                 continue
             subset = [

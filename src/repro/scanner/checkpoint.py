@@ -7,9 +7,9 @@ truncated trailing line, which :func:`~repro.telemetry.sinks.
 read_jsonl` discards).  Three event kinds matter here:
 
 ``scan_begin``
-    The scan's identity: permutation and loss keys, target count and
-    order digest, port, retry budget.  Everything needed to verify a
-    later resume targets *the same* scan.
+    The scan's identity: file ``format``, permutation and loss keys,
+    target count and order digest, port, retry budget.  Everything
+    needed to verify a later resume targets *the same* scan.
 ``scan_checkpoint``
     Progress: ``round`` (0 = first pass, r ≥ 1 = retry round r),
     ``next_batch`` (first batch index not yet merged), cumulative
@@ -26,7 +26,9 @@ depends on wall-clock or on how many times the process restarted.  A
 resumed scan therefore replays batches ``>= next_batch`` and lands on
 exactly the hits and :class:`~repro.scanner.probe.ScanStats` of an
 uninterrupted run, provided the caller passes the same target stream,
-port, and config (enforced via the digest check).  Round-0 progress is
+port, and config (enforced via the digest check).  Files of any other
+``format`` are refused: their digest is defined differently, so
+checking it would report a misleading mismatch.  Round-0 progress is
 checkpointed at batch granularity; retry rounds only at round
 boundaries, because a retry round's pending set is derived from the
 hits at the *start* of the round — a boundary checkpoint keeps that
@@ -39,29 +41,33 @@ anything it does not recognise.
 
 from __future__ import annotations
 
+import hashlib
 import os
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from ..telemetry.sinks import Sink, read_jsonl
 from .probe import ScanStats
-from .schedule import mix64
 
-_M64 = (1 << 64) - 1
-_DIGEST_SALT = 0x8B72E0F355B1D4C9
+#: ``scan_begin`` format this module writes and reads.  Format 2 digests
+#: the target columns (:func:`target_digest`); files without the field
+#: are format 1, whose digest folded boxed ints and is not comparable.
+CHECKPOINT_FORMAT = 2
 
 
-def target_digest(ordered: list[int]) -> int:
-    """Order-dependent 64-bit digest of the deduplicated target list.
+def target_digest(hi: np.ndarray, lo: np.ndarray) -> int:
+    """Order-dependent 64-bit digest of the deduplicated target columns.
 
-    Folds every address (both 64-bit halves) into a running splitmix64
-    chain.  Order-dependent on purpose: resume requires the *sequence*
-    to match, since probe order is a permutation of list indices.
+    BLAKE2b over the target count and the little-endian bytes of both
+    columns.  Order-dependent on purpose: resume requires the
+    *sequence* to match, since probe order is a permutation of column
+    indices.
     """
-    h = mix64(_DIGEST_SALT ^ (len(ordered) & _M64))
-    for addr in ordered:
-        h = mix64(h ^ (addr & _M64))
-        h = mix64(h ^ (addr >> 64))
-    return h
+    h = hashlib.blake2b(len(hi).to_bytes(8, "little"), digest_size=8)
+    h.update(np.ascontiguousarray(hi, dtype="<u8"))
+    h.update(np.ascontiguousarray(lo, dtype="<u8"))
+    return int.from_bytes(h.digest(), "little")
 
 
 @dataclass
@@ -88,12 +94,21 @@ def load_scan_checkpoint(path: str | os.PathLike) -> ResumeState | None:
     run died before the scan phase — resume just starts fresh).  A
     later ``scan_begin`` resets the state: a resumed run re-emits its
     identity plus a full-state baseline checkpoint, so only the newest
-    scan's lines count.
+    scan's lines count.  A ``scan_begin`` of any format other than
+    :data:`CHECKPOINT_FORMAT` raises ``ValueError``: its scan must be
+    restarted.
     """
     state: ResumeState | None = None
     for event in read_jsonl(path):
         kind = event.get("event")
         if kind == "scan_begin":
+            found = event.get("format", 1)
+            if found != CHECKPOINT_FORMAT:
+                raise ValueError(
+                    f"scan checkpoint {path} is format {found}; this "
+                    f"version reads only format {CHECKPOINT_FORMAT} "
+                    "(the target digest changed) — restart the scan"
+                )
             state = ResumeState(
                 perm_key=int(event["perm_key"]),
                 loss_key=int(event["loss_key"]),
@@ -149,6 +164,7 @@ class ScanCheckpointer:
         self.sink.emit(
             {
                 "event": "scan_begin",
+                "format": CHECKPOINT_FORMAT,
                 "perm_key": perm_key,
                 "loss_key": loss_key,
                 "targets": targets,

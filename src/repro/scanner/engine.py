@@ -11,20 +11,23 @@ algorithms under test:
 * optional probe loss models an unreliable network path, and repeated
   probes can recover from it (used for failure-injection tests).
 
-The bulk path is a streaming, batched pipeline.  Targets stream in
-(deduplicated in insertion order), probe order is a ZMap-style cyclic
+The bulk path is a streaming, batched pipeline over packed ``(hi,
+lo)`` uint64 columns.  Targets stream in and are deduplicated in
+first-seen order as columns, probe order is a ZMap-style cyclic
 permutation of the index space (:class:`~repro.scanner.schedule.
 CyclicPermutation` — O(1) auxiliary memory, no shuffled copy), and
-chunks flow through batched blacklist / loss / ground-truth lookups,
-optionally sharded across a process pool (:attr:`ScanConfig.workers`).
-A per-address sequential reference path (``use_batched=False``) is
-kept as the correctness oracle: for a fixed ``rng_seed`` both paths —
-and any worker count — produce identical hits *and* identical
-:class:`~repro.scanner.probe.ScanStats`, because probe order is the
-shared permutation and scan-time probe loss is a pure function of
-``(scan key, address)`` rather than a draw from a sequential RNG
-stream.  ``benchmarks/bench_scan.py`` enforces the parity on every
-run.
+chunks flow through the vectorised lookups of a frozen
+:class:`~repro.scanner.plane.ScanPlane`, optionally sharded across a
+process pool (:attr:`ScanConfig.workers`).  A per-address sequential
+reference path (``use_batched=False``) is kept as the correctness
+oracle, and is the only code that holds boxed target ints: for a fixed
+``rng_seed`` both paths — and any worker count — produce identical
+hits *and* identical :class:`~repro.scanner.probe.ScanStats`, because
+probe order is the shared permutation and scan-time probe loss is a
+pure function of ``(scan key, address)`` rather than a draw from a
+sequential RNG stream.  ``benchmarks/bench_scan.py`` enforces the
+parity on every run.  Truth or blacklist types the plane cannot
+snapshot (:meth:`ScanPlane.supports`) scan through the reference path.
 
 Robustness extensions (all default-off, all parity-preserving):
 
@@ -56,7 +59,7 @@ import random
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
@@ -66,6 +69,7 @@ from ..ipv6.addrplane import (
     dedupe_columns,
     fuse,
     is_columns,
+    pack,
     unpack,
 )
 from ..simnet.ground_truth import GroundTruth
@@ -107,54 +111,35 @@ def _loss_prf(key: int, addr: int) -> float:
     return h / 18446744073709551616.0  # 2**64
 
 
-def _columns_to_list(cols: "tuple[np.ndarray, np.ndarray]") -> list[int]:
-    """Unpack target columns into the boxed ordered list.
+def _normalize_targets(targets) -> "tuple[np.ndarray, np.ndarray]":
+    """A target source as deduplicated ``(hi, lo)`` columns.
 
-    Isolated (instead of calling ``unpack`` inline) so tests can assert
-    the pure column path never materialises a boxed list.
-    """
-    return unpack(cols[0], cols[1])
-
-
-def _normalize_targets(
-    targets,
-) -> "tuple[list[int] | None, tuple[np.ndarray, np.ndarray] | None]":
-    """Split a target source into ``(ordered ints, packed columns)``.
-
-    Exactly one of the two is non-None.  Accepted sources:
+    Accepted sources:
 
     * packed ``(hi, lo)`` columns, or an iterable of column chunks (the
-      generation plane's streaming handoff) — deduplicated first-seen
-      via fused-key sort/unique, never boxing an int;
-    * a ``list`` of ints — deduplicated without the ``map(int, ...)``
-      re-boxing pass (elements are assumed type-homogeneous, judged by
-      the first, the same idiom ``addrplane.pack`` uses);
-    * any other iterable — the original coerce-and-dedupe path.
+      generation plane's streaming handoff), never boxing an int;
+    * a ``list`` of ints, packed without a ``map(int, ...)`` re-boxing
+      pass (elements are assumed type-homogeneous, judged by the first,
+      the same idiom ``addrplane.pack`` uses);
+    * any other iterable, whose elements are coerced with ``int()``.
 
-    Every variant preserves first-seen order, so probe order — and
-    therefore loss outcomes — stay deterministic and identical across
-    input forms.
+    Every variant keeps the first-seen order ``dict.fromkeys`` gives
+    the unpacked sequence, so probe order — and therefore loss
+    outcomes — stay deterministic and identical across input forms.
     """
     if is_columns(targets):
-        return None, dedupe_columns(*targets)
+        return dedupe_columns(*targets)
     if isinstance(targets, list):
-        if not targets or isinstance(targets[0], int):
-            return list(dict.fromkeys(targets)), None
-        return list(dict.fromkeys(map(int, targets))), None
+        return dedupe_columns(*pack(targets))
     iterator = iter(targets)
-    try:
-        first = next(iterator)
-    except StopIteration:
-        return [], None
-    if is_columns(first):
+    first = next(iterator, None)
+    if first is not None and is_columns(first):
         dedupe = ColumnDeduper()
         chunks = [dedupe.add(*first)]
         chunks.extend(dedupe.add(*chunk) for chunk in iterator)
-        return None, concat_columns(chunks)
-    return (
-        list(dict.fromkeys(map(int, itertools.chain((first,), iterator)))),
-        None,
-    )
+        return concat_columns(chunks)
+    rest = () if first is None else itertools.chain((first,), iterator)
+    return dedupe_columns(*pack(rest))
 
 
 def _round_key(loss_key: int, round_: int) -> int:
@@ -174,21 +159,17 @@ class ScanConfig:
     """Execution parameters for :meth:`Scanner.scan`.
 
     ``batch_size`` is the chunk granularity of the streaming pipeline;
-    ``workers`` > 1 shards chunks across a process pool (1 keeps the
-    scan in-process); ``use_batched=False`` selects the per-address
-    sequential reference path (the correctness oracle the benchmark
-    compares against).  All settings produce identical results for a
-    fixed ``rng_seed`` — they only trade memory and speed.
+    ``workers`` > 1 shards chunks across a process pool with
+    shared-memory target columns (1 keeps the scan in-process);
+    ``use_batched=False`` selects the per-address sequential reference
+    path (the correctness oracle the benchmark compares against).  All
+    settings produce identical results for a fixed ``rng_seed`` — they
+    only trade memory and speed.
     """
 
     batch_size: int = 4096
     workers: int = 1
     use_batched: bool = True
-    #: Run batches on the array-native scan plane (packed uint64 hi/lo
-    #: columns, vectorised lookups, shared-memory worker shards) when
-    #: the truth/blacklist types support it.  Parity-gated: verdicts
-    #: are bit-identical to the object path, this only trades speed.
-    use_arrays: bool = True
     #: Extra probe rounds for non-responders (0 = single-pass, the
     #: pre-retry behaviour, bit-identical output).
     retries: int = 0
@@ -221,7 +202,6 @@ class _PreparedScan:
     resume state already recorded ``scan_complete``.
     """
 
-    ordered: "list[int] | None" = None
     cols: "tuple[np.ndarray, np.ndarray] | None" = None
     n: int = 0
     perm: CyclicPermutation | None = None
@@ -439,6 +419,12 @@ class Scanner:
         return results.tolist()
 
     # -- bulk scan ------------------------------------------------------------
+    def _uses_plane(self) -> bool:
+        """Does this scanner's batched path apply (config and types)?"""
+        return self.config.use_batched and ScanPlane.supports(
+            self.truth, self.blacklist
+        )
+
     def _prepare_scan(
         self,
         targets: Iterable[int],
@@ -450,35 +436,19 @@ class Scanner:
     ) -> "_PreparedScan":
         """Everything before the first probe, shared by scan paths.
 
-        Normalises the target source, draws the scan keys, verifies and
-        applies a resume state, and writes the ``scan_begin`` record.
-        Returns the prepared inputs — or, for a resume state that
-        already recorded completion, the finished result (``completed``
-        set, nothing else valid).
+        Normalises the target source to columns, draws the scan keys,
+        verifies and applies a resume state, and writes the
+        ``scan_begin`` record.  Returns the prepared inputs — or, for a
+        resume state that already recorded completion, the finished
+        result (``completed`` set, nothing else valid).
         """
         config = self.config
-        ordered, cols = _normalize_targets(targets)
-        if cols is not None:
-            plane_ok = (
-                config.use_batched
-                and config.use_arrays
-                and ScanPlane.supports(self.truth, self.blacklist)
-            )
-            if not shuffle:
-                # Fused-key argsort == numeric ascending == the scalar
-                # path's ordered.sort() on the unpacked list.
-                order = np.argsort(fuse(*cols))
-                cols = (cols[0][order], cols[1][order])
-            if not plane_ok or checkpoint is not None or resume is not None:
-                # The reference/object paths walk boxed ints, and the
-                # checkpoint digest is defined over them; the plane
-                # keeps the columns whenever it can use them.
-                ordered = _columns_to_list(cols)
-                if not plane_ok:
-                    cols = None
-        elif not shuffle:
-            ordered.sort()
-        n = len(ordered) if ordered is not None else len(cols[0])
+        cols = _normalize_targets(targets)
+        if not shuffle:
+            # Fused-key argsort == numeric ascending order.
+            order = np.argsort(fuse(*cols))
+            cols = (cols[0][order], cols[1][order])
+        n = len(cols[0])
         # Both paths draw the same keys in the same order so reference
         # and batched scans consume _order_rng identically — and a
         # resumed scan still draws them (then discards them in favour
@@ -486,16 +456,11 @@ class Scanner:
         # unshifted key stream.
         perm_key = self._order_rng.getrandbits(64)
         loss_key = self._order_rng.getrandbits(64)
-        if (checkpoint or resume) and not config.use_batched:
-            raise ValueError(
-                "checkpoint/resume/crash-injection require the batched "
-                "scan path (use_batched=True)"
-            )
         digest = None
         if checkpoint is not None or resume is not None:
             from .checkpoint import target_digest
 
-            digest = target_digest(ordered)
+            digest = target_digest(*cols)
         if resume is not None:
             if (
                 resume.digest != digest
@@ -547,9 +512,7 @@ class Scanner:
                     stats=resume.stats,
                     hits=resume.hits,
                 )
-        return _PreparedScan(
-            ordered=ordered, cols=cols, n=n, perm=perm, loss_key=loss_key
-        )
+        return _PreparedScan(cols=cols, n=n, perm=perm, loss_key=loss_key)
 
     def scan(
         self,
@@ -563,11 +526,11 @@ class Scanner:
     ) -> ScanResult:
         """Probe each distinct target; collect responsive addresses.
 
-        Targets may be any iterable (a generator streams straight in);
-        they are deduplicated preserving first-seen order, which keeps
-        probe order — and therefore loss outcomes — deterministic for a
-        fixed ``rng_seed`` regardless of CPython build (a plain
-        ``set`` dedupe does not guarantee that).
+        Targets may be packed ``(hi, lo)`` columns, a stream of column
+        chunks, or any iterable of addresses (a generator streams
+        straight in); they are deduplicated preserving first-seen
+        order, which keeps probe order — and therefore loss outcomes —
+        deterministic for a fixed ``rng_seed``.
 
         ``checkpoint`` streams progress through a
         :class:`~repro.scanner.checkpoint.ScanCheckpointer`;
@@ -577,13 +540,20 @@ class Scanner:
         verified against the recorded digest).  ``crash`` arms a
         :class:`~repro.faults.WorkerCrash` fault, the deterministic
         kill switch the resume-parity tests use.  All three require the
-        batched path.
+        batched path, so they raise ``ValueError`` under
+        ``use_batched=False`` or a truth/blacklist type the scan plane
+        cannot snapshot (which otherwise scans through the reference
+        path).
         """
         config = self.config
-        if crash is not None and not config.use_batched:
+        batched = self._uses_plane()
+        if not batched and (
+            checkpoint is not None or resume is not None or crash is not None
+        ):
             raise ValueError(
                 "checkpoint/resume/crash-injection require the batched "
-                "scan path (use_batched=True)"
+                "scan path (use_batched=True and a truth/blacklist type "
+                "ScanPlane.supports)"
             )
         prep = self._prepare_scan(
             targets, port, shuffle=shuffle, checkpoint=checkpoint,
@@ -596,15 +566,14 @@ class Scanner:
             "scan", port=port, targets=prep.n, workers=config.workers
         ):
             start = time.perf_counter()
-            if config.use_batched:
+            if batched:
                 result = self._scan_batched(
-                    prep.ordered, prep.perm, prep.loss_key, port, config,
+                    prep.cols, prep.perm, prep.loss_key, port, config,
                     checkpoint=checkpoint, resume=resume, crash=crash,
-                    cols=prep.cols,
                 )
             else:
                 result = self._scan_reference(
-                    prep.ordered, prep.perm, prep.loss_key, port, config
+                    prep.cols, prep.perm, prep.loss_key, port, config
                 )
             elapsed = time.perf_counter() - start
         self.total_probes += result.stats.probes_sent + result.stats.retransmits
@@ -628,16 +597,18 @@ class Scanner:
         in-process :meth:`scan` would (same keys, same verdicts, same
         checkpoints), one batch per :meth:`~repro.scanner.execution.
         ScanExecution.step` — the primitive the multi-tenant campaign
-        scheduler interleaves.  Requires the batched path; executions
+        scheduler interleaves.  Requires the batched path (and a
+        truth/blacklist type the scan plane supports); executions
         always run in-process (worker pools belong to :meth:`scan`).
         """
         from .execution import ScanExecution
 
         config = self.config
-        if not config.use_batched:
+        if not self._uses_plane():
             raise ValueError(
                 "stepwise execution requires the batched scan path "
-                "(use_batched=True)"
+                "(use_batched=True and a truth/blacklist type "
+                "ScanPlane.supports)"
             )
         prep = self._prepare_scan(
             targets, port, shuffle=shuffle, checkpoint=checkpoint,
@@ -645,12 +616,11 @@ class Scanner:
         )
         if prep.completed is not None:
             return ScanExecution(
-                self, ordered=None, cols=None, perm=None, loss_key=0,
+                self, cols=None, perm=None, loss_key=0,
                 port=port, config=config, completed=prep.completed,
             )
         return ScanExecution(
             self,
-            ordered=prep.ordered,
             cols=prep.cols,
             perm=prep.perm,
             loss_key=prep.loss_key,
@@ -717,7 +687,7 @@ class Scanner:
 
     def _scan_reference(
         self,
-        ordered: list[int],
+        cols: "tuple[np.ndarray, np.ndarray]",
         perm: CyclicPermutation | None,
         loss_key: int,
         port: int,
@@ -725,6 +695,7 @@ class Scanner:
     ) -> ScanResult:
         """Per-address loop: the readable spec the batched path must match."""
         config = config or self.config
+        ordered = unpack(*cols)
         stats = ScanStats()
         hits: set[int] = set()
         loss = self.loss_rate
@@ -766,7 +737,7 @@ class Scanner:
 
     def _scan_batched(
         self,
-        ordered: list[int] | None,
+        cols: "tuple[np.ndarray, np.ndarray]",
         perm: CyclicPermutation | None,
         loss_key: int,
         port: int,
@@ -775,126 +746,30 @@ class Scanner:
         checkpoint: "ScanCheckpointer | None" = None,
         resume: "ResumeState | None" = None,
         crash: "WorkerCrash | None" = None,
-        cols: "tuple[np.ndarray, np.ndarray] | None" = None,
     ) -> ScanResult:
-        # ``ordered`` is None only on the pure column path, where the
-        # caller guarantees the array plane applies (so the object-path
-        # branches in the execution, which need boxed ints, are
-        # unreachable).  The batch loop itself lives in ScanExecution
-        # (one batch per step); this driver only decides whether round
-        # 0 runs through a worker pool first.
+        # The batch loop lives in ScanExecution (one batch per step);
+        # this method only decides whether round 0 runs through the
+        # shared-memory worker pool first.
         from .execution import ScanExecution
 
         execution = ScanExecution(
-            self, ordered=ordered, cols=cols, perm=perm, loss_key=loss_key,
+            self, cols=cols, perm=perm, loss_key=loss_key,
             port=port, config=config, checkpoint=checkpoint, resume=resume,
             crash=crash,
         )
-        n = execution.n
         if (
             execution.start_round == 0
             and config.workers > 1
-            and n > config.batch_size
+            and execution.n > config.batch_size
         ):
-            if execution.plane is not None:
-                self._scan_pool_shared(
-                    execution.plane, perm, loss_key, config,
-                    execution.stats, execution.hits,
-                    checkpoint=checkpoint,
-                    start_batch=execution.start_batch, crash=crash,
-                )
-            else:
-                self._scan_pool(
-                    ordered, perm, loss_key, port, config,
-                    execution.stats, execution.hits,
-                    checkpoint=checkpoint,
-                    start_batch=execution.start_batch, crash=crash,
-                )
+            self._scan_pool_shared(
+                execution.plane, perm, loss_key, config,
+                execution.stats, execution.hits,
+                checkpoint=checkpoint,
+                start_batch=execution.start_batch, crash=crash,
+            )
             execution.skip_round0()
         return execution.run()
-
-    def _pending_targets(
-        self,
-        ordered: list[int],
-        perm: CyclicPermutation | None,
-        hits: set[int],
-        config: ScanConfig,
-    ) -> list[int]:
-        """Non-responding, non-blacklisted targets, in permuted order.
-
-        Pure function of (target list, permutation, hits) — the
-        property that lets a resumed run rebuild exactly the pending
-        set an uninterrupted run would carry into a retry round.
-        """
-        pending: list[int] = []
-        for _, batch in _iter_permuted_batches(ordered, perm, config.batch_size):
-            if self.blacklist:
-                flags = self.blacklist.contains_many(batch)
-                pending.extend(
-                    a
-                    for a, flagged in zip(batch, flags)
-                    if not flagged and a not in hits
-                )
-            else:
-                pending.extend(a for a in batch if a not in hits)
-        return pending
-
-    def _scan_pool(
-        self,
-        ordered: list[int],
-        perm: CyclicPermutation | None,
-        loss_key: int,
-        port: int,
-        config: ScanConfig,
-        stats: ScanStats,
-        hits: set[int],
-        *,
-        checkpoint: "ScanCheckpointer | None" = None,
-        start_batch: int = 0,
-        crash: "WorkerCrash | None" = None,
-    ) -> None:
-        """Shard permuted chunks across a process pool and merge stats.
-
-        Every counter is an order-independent sum and the loss PRF is a
-        pure function of the address, so the merged result is identical
-        to the in-process batched (and reference) scan.  Futures are
-        merged in submission order, so checkpointed progress is always
-        a contiguous batch prefix — the invariant resume relies on.
-        """
-        from concurrent.futures import ProcessPoolExecutor
-
-        tele = self.telemetry
-        # Bound outstanding futures so huge target streams never
-        # materialise as one giant pending-chunk queue.
-        window = config.workers * 4
-        with ProcessPoolExecutor(
-            max_workers=config.workers,
-            initializer=_pool_init,
-            initargs=(
-                self.truth, self.blacklist, self.loss_rate, loss_key,
-                port, crash,
-            ),
-        ) as pool:
-            futures: deque = deque()
-
-            def merge_one() -> None:
-                index, chunk_hits, chunk_stats = futures.popleft().result()
-                hits.update(chunk_hits)
-                stats.merge(chunk_stats)
-                tele.count("scan.worker_merges")
-                if checkpoint is not None:
-                    checkpoint.note_batch(chunk_hits)
-                    checkpoint.checkpoint(0, index + 1, stats)
-
-            for index, batch in _iter_permuted_batches(
-                ordered, perm, config.batch_size, start_batch
-            ):
-                futures.append(pool.submit(_pool_scan_chunk, index, batch))
-                tele.count("scan.batches")
-                if len(futures) >= window:
-                    merge_one()
-            while futures:
-                merge_one()
 
     def _scan_pool_shared(
         self,
@@ -985,128 +860,8 @@ def scan_stats_snapshot(stats: ScanStats) -> MetricsSnapshot:
     )
 
 
-def _iter_permuted_batches(
-    ordered: list[int],
-    perm: CyclicPermutation | None,
-    batch_size: int,
-    start_batch: int = 0,
-) -> Iterator[tuple[int, list[int]]]:
-    """Yield ``(batch_index, chunk)`` in permuted order.
-
-    ``start_batch`` skips already-completed batches without computing
-    their permutations — the resume fast-forward.
-    """
-    n = len(ordered)
-    for start in range(start_batch * batch_size, n, batch_size):
-        index = start // batch_size
-        if perm is None:
-            yield index, ordered[start : start + batch_size]
-        else:
-            indices = perm.permute_range(start, min(start + batch_size, n))
-            yield index, [ordered[j] for j in indices]
-
-
-def _probe_batch(
-    truth: GroundTruth,
-    blacklist: Blacklist,
-    loss_rate: float,
-    loss_key: int,
-    port: int,
-    batch: list[int],
-    stats: ScanStats,
-    hits: set[int],
-) -> list[int]:
-    """Probe one chunk with batched blacklist / loss / truth lookups.
-
-    Returns the chunk's responsive addresses (the checkpoint delta).
-    """
-    if blacklist:
-        flags = blacklist.contains_many(batch)
-        allowed = [a for a, flagged in zip(batch, flags) if not flagged]
-        stats.blacklisted += len(batch) - len(allowed)
-    else:
-        allowed = batch
-    stats.probes_sent += len(allowed)
-    if loss_rate:
-        kept = []
-        for a in allowed:
-            if _loss_prf(loss_key, a) < loss_rate:
-                stats.dropped += 1
-            else:
-                kept.append(a)
-    else:
-        kept = allowed
-    responsive: list[int] = []
-    if kept:
-        flags = truth.responsive_many(kept, port)
-        responsive = [a for a, responded in zip(kept, flags) if responded]
-        stats.responses += len(responsive)
-        hits.update(responsive)
-    return responsive
-
-
-def _retry_batch(
-    truth: GroundTruth,
-    loss_rate: float,
-    round_key: int,
-    round_: int,
-    port: int,
-    batch: list[int],
-    stats: ScanStats,
-    hits: set[int],
-) -> list[int]:
-    """One retry round's worth of probes for a pending chunk.
-
-    The chunk is pre-filtered (no blacklisted, no responders), so only
-    loss and ground truth apply; probes count as retransmits.  Returns
-    the newly responsive addresses.
-    """
-    stats.retransmits += len(batch)
-    if loss_rate:
-        kept = []
-        for a in batch:
-            if _loss_prf(round_key, a) < loss_rate:
-                stats.dropped += 1
-            else:
-                kept.append(a)
-    else:
-        kept = batch
-    responsive: list[int] = []
-    if kept:
-        flags = truth.responsive_many(kept, port, attempt=round_)
-        responsive = [a for a, responded in zip(kept, flags) if responded]
-        stats.responses += len(responsive)
-        hits.update(responsive)
-    return responsive
-
-
 #: Per-process state for scan-pool workers (set by the initializer).
 _POOL_STATE: dict = {}
-
-
-def _pool_init(
-    truth: GroundTruth,
-    blacklist: Blacklist,
-    loss_rate: float,
-    loss_key: int,
-    port: int,
-    crash=None,
-) -> None:
-    _POOL_STATE["args"] = (truth, blacklist, loss_rate, loss_key, port, crash)
-
-
-def _pool_scan_chunk(
-    index: int, batch: list[int]
-) -> tuple[int, list[int], ScanStats]:
-    truth, blacklist, loss_rate, loss_key, port, crash = _POOL_STATE["args"]
-    if crash is not None:
-        crash.check(0, index)
-    stats = ScanStats()
-    hits: set[int] = set()
-    responsive = _probe_batch(
-        truth, blacklist, loss_rate, loss_key, port, batch, stats, hits
-    )
-    return index, responsive, stats
 
 
 def _plane_pool_init(spec: dict, meta: dict, perm, crash) -> None:

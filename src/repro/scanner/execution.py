@@ -1,14 +1,15 @@
 """Stepwise scan execution: the batched scan loop, one batch per call.
 
 :class:`ScanExecution` is the in-process batched scan path of
-:meth:`Scanner.scan` restructured as an explicit state machine:
-each :meth:`ScanExecution.step` executes exactly one probe batch
-(a round-0 chunk or a retry chunk, with round transitions, pending-set
-computation, and checkpoint writes happening between batches exactly
-where the monolithic loop performed them).  ``Scanner._scan_batched``
-drives an execution to completion, so the single-campaign path *is*
-this code; the campaign service (:mod:`repro.service`) interleaves
-steps of many executions over one process instead.
+:meth:`Scanner.scan` written as an explicit state machine over a
+frozen :class:`~repro.scanner.plane.ScanPlane`: each
+:meth:`ScanExecution.step` executes exactly one probe batch (a round-0
+chunk or a retry chunk, with round transitions, pending-set
+computation, and checkpoint writes happening between batches).
+``Scanner._scan_batched`` drives an execution to completion, so the
+single-campaign path *is* this code; the campaign service
+(:mod:`repro.service`) interleaves steps of many executions over one
+process instead.
 
 Interleaving is safe because every probe verdict — loss, fault, ground
 truth — is a pure function of ``(key, address, attempt)``, never of
@@ -45,17 +46,18 @@ class ScanExecution:
     """One scan's remaining work, executable one batch at a time.
 
     Built by :meth:`Scanner.start_execution` (or internally by
-    ``Scanner._scan_batched``).  Call :meth:`step` until it returns
-    False, then read :meth:`result`.  ``stats`` and ``hits`` are live:
-    a scheduler can read ``stats.probes_sent`` between steps to charge
-    probe budgets at batch granularity.
+    ``Scanner._scan_batched``) over deduplicated target columns, for a
+    truth/blacklist pair :meth:`ScanPlane.supports` accepts.  Call
+    :meth:`step` until it returns False, then read :meth:`result`.
+    ``stats`` and ``hits`` are live: a scheduler can read
+    ``stats.probes_sent`` between steps to charge probe budgets at
+    batch granularity.
     """
 
     def __init__(
         self,
         scanner: "Scanner",
         *,
-        ordered: "list[int] | None",
         cols: "tuple[np.ndarray, np.ndarray] | None",
         perm: CyclicPermutation | None,
         loss_key: int,
@@ -70,8 +72,6 @@ class ScanExecution:
         self.scanner = scanner
         self.port = port
         self.config = config
-        self.ordered = ordered
-        self.cols = cols
         self.perm = perm
         self.loss_key = loss_key
         self.checkpoint = checkpoint
@@ -98,22 +98,14 @@ class ScanExecution:
             self.stats = ScanStats()
             self.hits = set()
             self.start_round, self.start_batch = 0, 0
-        # The array plane is a frozen snapshot of targets + lookup
-        # tables; when the truth/blacklist types support it, every
-        # batch below runs as vectorised column passes with identical
-        # verdicts (the parity tests and CI gate enforce this).
-        self.plane = None
-        if config.use_arrays and ScanPlane.supports(
-            scanner.truth, scanner.blacklist
-        ):
-            self.plane = ScanPlane.build(
-                scanner.truth,
-                scanner.blacklist,
-                cols if cols is not None else ordered,
-                port,
-                scanner.loss_rate,
-            )
-        self.n = len(cols[0]) if cols is not None else len(ordered)
+        # The plane is a frozen snapshot of targets + lookup tables;
+        # every batch below runs as vectorised column passes with
+        # verdicts identical to the reference scan (the parity tests
+        # and CI gate enforce this).
+        self.plane = ScanPlane.build(
+            scanner.truth, scanner.blacklist, cols, port, scanner.loss_rate
+        )
+        self.n = len(cols[0])
         # Version token of the world this execution was planned against.
         # A stepped execution spans wall-clock time; if the truth
         # mutates in between (churn advancing an epoch), both the frozen
@@ -129,7 +121,7 @@ class ScanExecution:
         return self._result is not None
 
     def skip_round0(self) -> None:
-        """Mark round 0 as executed externally (the pool paths).
+        """Mark round 0 as executed externally (the worker pool).
 
         ``Scanner._scan_batched`` shards round 0 across a process pool
         when configured; the execution then owns only the retry rounds.
@@ -207,19 +199,13 @@ class ScanExecution:
             )
 
     def _work(self) -> Iterator[None]:
-        """Yield once per executed batch, in the monolithic loop's order.
+        """Yield once per executed batch.
 
-        The body between two yields is exactly the body of one
-        iteration of ``Scanner._scan_batched``'s in-process loops —
-        same primitives, same sequence — which is what makes a stepped
-        execution bit-identical to the monolithic scan.
+        A monolithic :meth:`Scanner.scan` runs this same generator to
+        exhaustion (after the pool, if any, took round 0), so a stepped
+        execution is bit-identical to it by construction.
         """
-        from .engine import (
-            _iter_permuted_batches,
-            _probe_batch,
-            _retry_batch,
-            _round_key,
-        )
+        from .engine import _round_key
 
         scanner, config = self.scanner, self.config
         plane, perm, loss_key = self.plane, self.perm, self.loss_key
@@ -232,38 +218,19 @@ class ScanExecution:
         start_round = self.start_round
         if start_round == 0:
             if not self._round0_external:
-                if plane is not None:
-                    for start in range(
-                        self.start_batch * batch_size, n, batch_size
-                    ):
-                        index = start // batch_size
-                        if crash is not None:
-                            crash.check(0, index)
-                        new_hits = plane.probe_range(
-                            perm, start, min(start + batch_size, n),
-                            loss_key, stats, hits,
-                        )
-                        tele.count("scan.batches")
-                        if checkpoint is not None:
-                            checkpoint.note_batch(new_hits)
-                            checkpoint.checkpoint(0, index + 1, stats)
-                        yield
-                else:
-                    for index, batch in _iter_permuted_batches(
-                        self.ordered, perm, batch_size, self.start_batch
-                    ):
-                        if crash is not None:
-                            crash.check(0, index)
-                        new_hits = _probe_batch(
-                            scanner.truth, scanner.blacklist,
-                            scanner.loss_rate, loss_key, self.port, batch,
-                            stats, hits,
-                        )
-                        tele.count("scan.batches")
-                        if checkpoint is not None:
-                            checkpoint.note_batch(new_hits)
-                            checkpoint.checkpoint(0, index + 1, stats)
-                        yield
+                for start in range(self.start_batch * batch_size, n, batch_size):
+                    index = start // batch_size
+                    if crash is not None:
+                        crash.check(0, index)
+                    new_hits = plane.probe_range(
+                        perm, start, min(start + batch_size, n),
+                        loss_key, stats, hits,
+                    )
+                    tele.count("scan.batches")
+                    if checkpoint is not None:
+                        checkpoint.note_batch(new_hits)
+                        checkpoint.checkpoint(0, index + 1, stats)
+                    yield
             start_round = 1
         # Retry rounds always run in-process: the pending set is a
         # shrinking fraction of the target list, and every verdict is
@@ -272,16 +239,10 @@ class ScanExecution:
         # the pending set is derived from the hits at round start, so a
         # boundary checkpoint is exactly recomputable on resume.
         for round_ in range(start_round, config.retries + 1):
-            if plane is not None:
-                pending_hi, pending_lo = plane.pending_columns(
-                    perm, batch_size, hits
-                )
-                pending_count = len(pending_hi)
-            else:
-                pending = scanner._pending_targets(
-                    self.ordered, perm, hits, config
-                )
-                pending_count = len(pending)
+            pending_hi, pending_lo = plane.pending_columns(
+                perm, batch_size, hits
+            )
+            pending_count = len(pending_hi)
             if not pending_count:
                 break
             key = _round_key(loss_key, round_)
@@ -290,18 +251,11 @@ class ScanExecution:
             for index, start in enumerate(range(0, pending_count, batch_size)):
                 if crash is not None:
                     crash.check(round_, index)
-                if plane is not None:
-                    new_hits = plane.retry_chunk(
-                        pending_hi[start : start + batch_size],
-                        pending_lo[start : start + batch_size],
-                        key, round_, stats, hits,
-                    )
-                else:
-                    new_hits = _retry_batch(
-                        scanner.truth, scanner.loss_rate, key, round_,
-                        self.port, pending[start : start + batch_size],
-                        stats, hits,
-                    )
+                new_hits = plane.retry_chunk(
+                    pending_hi[start : start + batch_size],
+                    pending_lo[start : start + batch_size],
+                    key, round_, stats, hits,
+                )
                 tele.count("scan.batches")
                 if checkpoint is not None:
                     checkpoint.note_batch(new_hits)

@@ -21,9 +21,9 @@ Parity contract: every verdict here is the same pure function of
 hash, then one exact power-of-two float scaling), membership tables are
 exact, and fault models vectorise their own PRFs — so hits and stats
 are identical to the reference scan for any batch size or worker count.
-``ScanPlane.supports`` gates the fast path to the exact types it can
-snapshot (subclassed truths/blacklists fall back to the object path,
-which obeys dynamic dispatch).
+``ScanPlane.supports`` gates the plane to the exact types it can
+snapshot (subclassed truths/blacklists scan through the engine's
+per-address reference path, which obeys dynamic dispatch).
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from ..ipv6.addrplane import (
     FrozenKeySet,
     PrefixMaskTable,
     hash_columns,
-    pack,
     unpack,
 )
 from ..simnet.ground_truth import ICMPV6, GroundTruth
@@ -115,8 +114,8 @@ class ScanPlane:
         """Can this truth/blacklist pair be snapshotted exactly?
 
         Only the concrete types the plane knows how to freeze qualify;
-        any subclass with overridden lookup behaviour keeps the object
-        path so dynamic dispatch is honoured.
+        any subclass with overridden lookup behaviour scans through
+        the reference path so dynamic dispatch is honoured.
         """
         from ..faults.ground import FaultyGroundTruth
 
@@ -129,22 +128,17 @@ class ScanPlane:
         cls,
         truth: GroundTruth,
         blacklist: Blacklist,
-        targets: "list[int] | tuple[np.ndarray, np.ndarray]",
+        targets: "tuple[np.ndarray, np.ndarray]",
         port: int,
         loss_rate: float,
     ) -> "ScanPlane":
-        """Freeze a scan context over targets.
+        """Freeze a scan context over deduplicated ``(hi, lo)`` columns.
 
-        ``targets`` is either a deduplicated ordered list of int
-        addresses (packed here) or already-packed ``(hi, lo)`` columns
-        from the generation plane, adopted without conversion.
+        The columns are adopted without conversion.
         """
         from ..faults.ground import FaultyGroundTruth
 
-        if isinstance(targets, tuple):
-            hi, lo = targets
-        else:
-            hi, lo = pack(targets)
+        hi, lo = targets
         fault = truth.fault if isinstance(truth, FaultyGroundTruth) else None
         return cls(
             hi,
@@ -246,9 +240,9 @@ class ScanPlane:
         one big vectorised Feistel walk plus one fancy-gather beats
         thousands of small per-batch ones (the cycle-walk loop's fixed
         numpy overhead dominates at batch granularity), after which
-        every shard is a zero-copy slice.  The copy is 16 bytes per
-        target — small next to the boxed target list already held —
-        and pool workers each materialise it once at their first shard.
+        every shard is a zero-copy slice.  The copy costs 16 bytes per
+        target, the size of the columns themselves, and pool workers
+        each materialise it once at their first shard.
         """
         if perm is None:
             return self.hi[start:stop], self.lo[start:stop]
@@ -281,9 +275,9 @@ class ScanPlane:
     ) -> list[int]:
         """Blacklist / loss / responsiveness for one column batch.
 
-        Same accounting as the object path's ``_probe_batch``; returns
-        the batch's responsive addresses (the checkpoint delta) in
-        probe order.  The batch is hashed once and the hashes are
+        Same accounting as one round-0 step of the engine's reference
+        scan; returns the batch's responsive addresses (the checkpoint
+        delta) in probe order.  The batch is hashed once and the hashes are
         reused by every exact-membership stage (``/128`` blacklist
         entries, the host table).
         """
@@ -341,9 +335,11 @@ class ScanPlane:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Non-responding, non-blacklisted targets in permuted order.
 
-        The array form of the engine's ``_pending_targets``: a pure
-        function of (targets, permutation, hits), chunked so the
-        permutation is computed batch-wise like the scan itself.
+        The set each retry round re-probes: a pure function of
+        (targets, permutation, hits) — which is what lets a resumed
+        run rebuild exactly the pending set an uninterrupted run would
+        carry into a retry round — chunked so the permutation is
+        computed batch-wise like the scan itself.
         """
         hit_keys = FrozenKeySet.from_ints(hits)
         keep_hi: list[np.ndarray] = []

@@ -56,8 +56,8 @@ class CyclicPermutation:
     the list and no index array.
 
     The scalar :meth:`__call__` is the specification; the vectorised
-    :meth:`permute_range` computes the same mapping batch-wise (used by
-    the batched scan path) and is verified equal in the tests.
+    :meth:`permute_range_arr` computes the same mapping batch-wise (used
+    by the batched scan path) and is verified equal in the tests.
     """
 
     __slots__ = ("n", "_half_bits", "_half_mask", "_keys")
@@ -99,8 +99,7 @@ class CyclicPermutation:
         """Images of ``start..stop-1`` as a uint64 array (no boxing).
 
         The array scan plane indexes its hi/lo target columns with this
-        directly; :meth:`permute_range` is the boxed wrapper for the
-        object path.
+        directly; :meth:`permute_range` is its boxed form.
         """
         if not 0 <= start <= stop <= self.n:
             raise IndexError(f"range [{start}, {stop}) outside [0, {self.n})")

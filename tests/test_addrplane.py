@@ -42,6 +42,7 @@ from repro.ipv6.addrplane import (
 from repro.ipv6.address import IPv6Addr
 from repro.ipv6.prefix import Prefix
 from repro.scanner.blacklist import Blacklist
+from repro.scanner.checkpoint import ScanCheckpointer
 from repro.scanner.engine import ScanConfig, Scanner, _loss_prf
 from repro.scanner.plane import ScanPlane, loss_prf_arr
 from repro.scanner.shm import SEGMENT_PREFIX, SharedArrays
@@ -276,6 +277,37 @@ class TestScanPlaneParity:
             CustomTruth({80: set()}, AliasedRegionSet()), Blacklist()
         )
 
+    def test_unsupported_truth_scans_through_reference(self, tmp_path):
+        """A truth the plane cannot snapshot scans as the reference does,
+        and refuses the plane-only features."""
+        truth, targets, blacklist = _fault_world(faulty=True)
+
+        class OpaqueTruth(FaultyGroundTruth):
+            pass
+
+        opaque = OpaqueTruth(truth.base, truth.fault)
+        assert not ScanPlane.supports(opaque, blacklist)
+
+        def scanner(truth, **config):
+            return Scanner(
+                truth, blacklist=blacklist, loss_rate=0.15, rng_seed=9,
+                config=ScanConfig(batch_size=64, retries=2, **config),
+            )
+
+        reference = scanner(truth, use_batched=False).scan(targets)
+        for workers in (1, 2):
+            result = scanner(opaque, workers=workers).scan(targets)
+            assert result.hits == reference.hits
+            assert result.stats == reference.stats
+        with pytest.raises(ValueError, match="batched scan path"):
+            scanner(opaque).start_execution(targets)
+        sink = JsonlSink(tmp_path / "ckpt.jsonl")
+        with pytest.raises(ValueError, match="batched scan path"):
+            scanner(opaque).scan(targets, checkpoint=ScanCheckpointer(sink))
+        sink.close()
+        with pytest.raises(ValueError, match="batched scan path"):
+            scanner(opaque).scan(targets, crash=WorkerCrash(at_batch=1))
+
 
 class TestSharedMemoryTransport:
     def test_round_trip(self):
@@ -300,7 +332,7 @@ class TestSharedMemoryTransport:
 
         def meta_size(n):
             targets = [rng.getrandbits(128) for _ in range(n)]
-            plane = ScanPlane.build(truth, blacklist, targets, 80, 0.1)
+            plane = ScanPlane.build(truth, blacklist, pack(targets), 80, 0.1)
             _, meta = plane.shared_payload()
             return len(pickle.dumps(meta))
 

@@ -1,10 +1,12 @@
 """Tests for scan checkpointing, crash injection, and bit-identical resume."""
 
+import json
 import random
 
 import pytest
 
 from repro.faults import InjectedWorkerCrash, WorkerCrash
+from repro.ipv6.addrplane import pack
 from repro.ipv6.prefix import Prefix
 from repro.scanner.blacklist import Blacklist
 from repro.scanner.checkpoint import (
@@ -61,15 +63,34 @@ class TestTargetDigest:
     def test_order_dependent(self):
         rng = random.Random(0)
         addrs = [rng.getrandbits(128) for _ in range(10)]
-        assert target_digest(addrs) != target_digest(list(reversed(addrs)))
+        assert target_digest(*pack(addrs)) != target_digest(
+            *pack(list(reversed(addrs)))
+        )
 
     def test_deterministic(self):
         rng = random.Random(1)
         addrs = [rng.getrandbits(128) for _ in range(10)]
-        assert target_digest(addrs) == target_digest(list(addrs))
+        assert target_digest(*pack(addrs)) == target_digest(*pack(list(addrs)))
 
     def test_length_sensitive(self):
-        assert target_digest([]) != target_digest([0])
+        assert target_digest(*pack([])) != target_digest(*pack([0]))
+
+    def test_list_and_its_columns_record_one_digest(self, tmp_path):
+        truth, targets = _world()
+        listed = targets + targets[:5]  # duplicates dedupe first-seen
+
+        def recorded_digest(source, name):
+            path = tmp_path / name
+            sink = JsonlSink(path)
+            Scanner(truth, rng_seed=1).scan(
+                source, checkpoint=ScanCheckpointer(sink)
+            )
+            sink.close()
+            return load_scan_checkpoint(path).digest
+
+        from_list = recorded_digest(listed, "list.jsonl")
+        assert from_list == recorded_digest(pack(listed), "cols.jsonl")
+        assert from_list == target_digest(*pack(targets))
 
 
 class TestCheckpointFile:
@@ -93,6 +114,25 @@ class TestCheckpointFile:
         assert state.hits == {10, 20}
         assert state.stats == ScanStats(probes_sent=3, responses=2)
         assert not state.complete
+
+    @pytest.mark.parametrize("fmt", [None, 1, 3])
+    def test_other_formats_are_refused(self, tmp_path, fmt):
+        path = tmp_path / "ckpt.jsonl"
+        sink = JsonlSink(path)
+        ScanCheckpointer(sink).begin(
+            perm_key=1, loss_key=2, targets=3, digest=4, port=80, retries=0
+        )
+        sink.close()
+        lines = path.read_text().splitlines()
+        begin = json.loads(lines[0])
+        assert begin["format"] == 2
+        if fmt is None:
+            del begin["format"]  # files written before the field existed
+        else:
+            begin["format"] = fmt
+        path.write_text(json.dumps(begin) + "\n")
+        with pytest.raises(ValueError, match=f"format {fmt or 1}\\b"):
+            load_scan_checkpoint(path)
 
     def test_no_begin_returns_none(self, tmp_path):
         path = tmp_path / "ckpt.jsonl"

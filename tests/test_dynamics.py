@@ -282,38 +282,15 @@ class TestStaleWorldGuard:
         with pytest.raises(StaleWorldError):
             execution.step()
 
-    def test_object_path_raises_after_advance(self):
-        from repro.faults.ground import FaultyGroundTruth
-        from repro.faults.models import BurstyLoss
-
-        class OpaqueTruth(FaultyGroundTruth):
-            """Subclass unknown to ScanPlane.supports -> object path."""
-
-        world = _world()
-        dyn = DynamicWorld(world, churn_seed=CHURN_SEED)
-        overlay = OpaqueTruth(world.truth, BurstyLoss(seed=1, loss_bad=0.0))
-        scanner = Scanner(
-            overlay,
-            config=ScanConfig(use_batched=True, batch_size=32),
-            rng_seed=3,
-        )
-        execution = scanner.start_execution(
-            sorted(world.all_active_hosts())[:64], 80
-        )
-        assert execution.plane is None
-        assert execution.step()
-        dyn.advance_to(1)
-        with pytest.raises(StaleWorldError):
-            execution.step()
-
     def test_plane_ensure_fresh_and_shared_payload_token(self):
+        from repro.ipv6.addrplane import pack
         from repro.scanner.blacklist import Blacklist
 
         world = _world()
         dyn = DynamicWorld(world, churn_seed=CHURN_SEED)
         targets = sorted(world.all_active_hosts())[:64]
         plane = ScanPlane.build(
-            world.truth, Blacklist(), targets, 80, 0.0
+            world.truth, Blacklist(), pack(targets), 80, 0.0
         )
         assert plane.world_version == world.truth.world_version
         plane.ensure_fresh(world.truth)

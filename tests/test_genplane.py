@@ -274,17 +274,35 @@ class TestNoReboxing:
         Scanner(_truth(hosts=[])).scan(iter(targets))
         assert CountingInt.calls == len(targets)
 
-    def test_pure_column_scan_never_materialises_list(self, monkeypatch):
-        def boom(cols):
+    def test_pure_column_scan_never_materialises_list(
+        self, monkeypatch, tmp_path
+    ):
+        from repro.scanner.checkpoint import ScanCheckpointer
+        from repro.telemetry import JsonlSink
+
+        def boom(hi, lo):
             raise AssertionError(
                 "column scan materialised a boxed target list"
             )
 
-        monkeypatch.setattr(engine_mod, "_columns_to_list", boom)
+        monkeypatch.setattr(engine_mod, "unpack", boom)
         targets = _targets()
         truth = _truth(hosts=targets[::4])
-        scan = Scanner(truth).scan(pack(targets))
-        assert len(scan.hits) == len(set(targets[::4]))
+        expected = len(set(targets[::4]))
+        config = ScanConfig(batch_size=64, retries=1)
+        scan = Scanner(truth, config=config).scan(pack(targets))
+        assert len(scan.hits) == expected
+        # Checkpointing digests the columns themselves.
+        sink = JsonlSink(tmp_path / "ckpt.jsonl")
+        checkpointed = Scanner(truth, config=config).scan(
+            pack(targets), checkpoint=ScanCheckpointer(sink)
+        )
+        sink.close()
+        assert checkpointed.hits == scan.hits
+        execution = Scanner(truth, config=config).start_execution(
+            pack(targets)
+        )
+        assert execution.run().hits == scan.hits
 
 
 class TestInterleaveColumns:

@@ -267,6 +267,47 @@ class TestPhasedCampaign:
             assert campaign.alias_probes > 0
 
 
+class TestPhasedBudget:
+    """Regression: a phase's in-loop alias tests once spent probes after
+    its scan had already used up the campaign's remaining budget
+    (4,070 probes against 4,000 here, 9,122 against 8,000 for 16
+    prefixes over 2 phases)."""
+
+    @staticmethod
+    def _make(prefixes, phases, path=None):
+        context = ex.standard_context(0.3)
+        groups = context.groups
+        largest = sorted(groups, key=lambda p: (-len(groups[p]), str(p)))
+        return Campaign(
+            context.internet.truth, context.internet.bgp,
+            {prefix: groups[prefix] for prefix in largest[:prefixes]},
+            CampaignSpec(budget=500),
+            allocation=PredictiveAllocator(phases=phases),
+            checkpoint_path=path,
+        )
+
+    @pytest.mark.parametrize("prefixes, phases", [(8, 3), (16, 2)])
+    def test_alias_tests_fit_the_budget(self, tmp_path, prefixes, phases):
+        baseline = self._make(prefixes, phases)
+        base_result = baseline.run()
+        assert baseline.alias_probes > 0
+        assert base_result.probes_sent <= 500 * len(baseline.progress)
+
+        path = os.fspath(tmp_path / "phased.jsonl")
+        first = self._make(prefixes, phases, path)
+        first.begin()
+        for _ in range(phases):
+            if not first.step():
+                break
+        first.interrupt()
+        resumed = self._make(prefixes, phases, path)
+        result = resumed.run(resume=True)
+        assert result.raw_hits == base_result.raw_hits
+        assert result.scan.stats == base_result.scan.stats
+        assert resumed.alias_probes == baseline.alias_probes
+        assert _progress_snapshot(resumed) == _progress_snapshot(baseline)
+
+
 class TestPhasedResume:
     def _make(self, context, path=None):
         allocator = _allocator(context)
