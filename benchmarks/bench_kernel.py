@@ -2,8 +2,10 @@
 
 Runs a Figure-2-style seed-count sweep, timing each tier on both the
 vectorised kernel (``use_vector_kernel=True``) and the reference
-implementation, verifying on every run that the two produce identical
-target sets, and writes the medians and speedups to
+implementation (reference clustering plus the scalar exact budget
+ledger), verifying on every run that the two produce the same run
+signature — clusters, targets, sampled addresses in order, budget used
+and iterations — and writes the medians and speedups to
 ``benchmarks/results/BENCH_sixgen.json`` (see DESIGN.md "Performance"
 for how to read it).
 
@@ -35,6 +37,17 @@ BUDGET = 10_000
 SCALE = 0.3
 
 
+def run_signature(result) -> tuple:
+    """Everything the two paths must agree on."""
+    return (
+        sorted((c.range.masks, c.seed_count) for c in result.clusters),
+        frozenset(result.target_set()),
+        tuple(result.sampled),
+        result.budget_used,
+        result.iterations,
+    )
+
+
 def bench_tier(pool: list[int], n: int, repeats: int) -> dict:
     """Median runtime of both paths on one deterministic n-seed subset."""
     subset = random.Random(1000 * n).sample(pool, n)
@@ -47,7 +60,7 @@ def bench_tier(pool: list[int], n: int, repeats: int) -> dict:
                 lambda v=vector: run_6gen(subset, BUDGET, use_vector_kernel=v)
             )
             timings[vector].append(elapsed)
-        if results[True].target_set() != results[False].target_set():
+        if run_signature(results[True]) != run_signature(results[False]):
             identical = False
     baseline = statistics.median(timings[False])
     vectorised = statistics.median(timings[True])

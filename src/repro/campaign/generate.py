@@ -54,11 +54,12 @@ def _run_one_columns(
     The expensive part of a prefix run after clustering — expanding the
     winning ranges into concrete addresses — happens *here*, in the
     worker, so it parallelises with the other prefixes instead of
-    serialising in the parent.  The result is stripped of its boxed-int
-    target set before pickling (the columns are the targets), and the
-    columns travel back through the PR 6 shared-memory transport in the
-    reverse direction (:func:`~repro.scanner.shm.publish_arrays`) when
-    large, or inline in the result pickle when small.
+    serialising in the parent.  The result is stripped of its covered
+    columns and any boxed-int target set before pickling (the shipped
+    columns are the targets), and the columns travel back through the
+    scan path's shared-memory transport in the reverse direction
+    (:func:`~repro.scanner.shm.publish_arrays`) when large, or inline
+    in the result pickle when small.
     """
     from ..scanner.shm import publish_arrays
 
@@ -68,6 +69,7 @@ def _run_one_columns(
     )
     hi, lo = result.target_columns_by_density()
     result._targets = None
+    result._covered = None
     result._columns = None
     if hi.nbytes + lo.nbytes >= _COLUMN_SHM_MIN_BYTES:
         try:
@@ -248,8 +250,8 @@ def generate_per_prefix(
                     prefix=prefix, seeds=seeds, budget=prefix_budget,
                     result=result,
                 )
-                if result._targets is not None:
-                    targets = len(result._targets)
+                if result._covered is not None:
+                    targets = result.target_count()
                     targets_total += targets
                 else:
                     targets = None

@@ -42,7 +42,7 @@ from ..ipv6.nybble import FULL_MASK, NYBBLE_COUNT, popcount16
 from ..ipv6.nybble_tree import NybbleTree
 from ..ipv6.range_ import NybbleRange, expand_range_arr
 from ..telemetry.spans import Telemetry, ensure
-from .budget import BudgetExceeded, ExactLedger, make_ledger
+from .budget import BudgetExceeded, make_ledger
 from .candidates import SeedMatrix, find_candidates_python
 from .cluster import Cluster, Growth, growth_beats
 
@@ -76,7 +76,8 @@ class SixGenConfig:
         nybble-tree counting of candidate spans, and heap-based growth
         selection.  Bit-for-bit identical output to the reference path
         for a fixed ``rng_seed``; requires ``use_seed_matrix``.  The
-        reference path remains the correctness oracle for parity tests.
+        reference path, which also runs the scalar exact budget ledger,
+        remains the correctness oracle for parity tests.
     rng_seed
         Seed for the tie-breaking / sampling RNG, for reproducible runs.
     """
@@ -102,6 +103,12 @@ class SixGenResult:
     sampled: list[int] = field(default_factory=list)
     elapsed_seconds: float = 0.0
     _targets: set[int] | None = None
+    # The exact ledger's covered addresses (the full deduplicated
+    # target set) as ascending (hi, lo) columns; boxed into _targets
+    # only when target_set() is asked for.
+    _covered: "tuple[np.ndarray, np.ndarray] | None" = field(
+        default=None, compare=False, repr=False
+    )
     # Cached densest-first (hi, lo) columns.  Populated by
     # target_columns_by_density() and by the parallel per-prefix
     # transport (see repro.analysis.grouping), which ships columns via
@@ -120,12 +127,16 @@ class SixGenResult:
 
     def target_count(self) -> int:
         """Number of distinct generated targets (seeds included)."""
+        if self._covered is not None:
+            return len(self._covered[0])
         return len(self.target_set())
 
     def target_set(self) -> set[int]:
         """All distinct generated target addresses, seeds included."""
         if self._targets is None:
-            if self._columns is not None:
+            if self._covered is not None:
+                self._targets = set(unpack(*self._covered))
+            elif self._columns is not None:
                 # Rebuilt from columns: the parallel per-prefix path
                 # ships (hi, lo) columns and drops the big-int set.
                 self._targets = set(unpack(*self._columns))
@@ -162,8 +173,8 @@ class SixGenResult:
         ordered = sorted(
             self.clusters, key=lambda c: (-c.density(), c.range.size())
         )
-        if self._targets is not None:
-            remaining = set(self._targets)
+        if self._covered is not None or self._targets is not None:
+            remaining = set(self.target_set())
             for cluster in ordered:
                 if not remaining:
                     return
@@ -220,7 +231,7 @@ class SixGenResult:
         ordered = sorted(
             self.clusters, key=lambda c: (-c.density(), c.range.size())
         )
-        total = len(self._targets) if self._targets is not None else None
+        total = len(self._covered[0]) if self._covered is not None else None
         dedupe = ColumnDeduper()
         chunks = []
         # Clusters expand into small per-cluster arrays; feeding each
@@ -311,7 +322,10 @@ class SixGen:
         self.rng = random.Random(config.rng_seed)
         self.tree = NybbleTree(self.seeds)
         self.matrix = SeedMatrix(self.seeds) if config.use_seed_matrix else None
-        self.ledger = make_ledger(config.ledger, config.budget, self.seeds)
+        self.ledger = make_ledger(
+            config.ledger, config.budget, self.seeds,
+            reference=not config.use_vector_kernel,
+        )
         self._clusters: dict[int, Cluster] = {}
         self._best: dict[int, Growth | None] = {}
         self._singleton_by_seed: dict[int, int] = {}
@@ -694,9 +708,9 @@ class SixGen:
             sampled=sampled,
             elapsed_seconds=time.perf_counter() - start,
         )
-        if isinstance(self.ledger, ExactLedger):
+        if self.config.ledger == "exact":
             # The exact ledger already knows the deduplicated target set.
-            result._targets = set(self.ledger.covered())
+            result._covered = self.ledger.covered_columns()
         if tele.enabled:
             grown = sum(1 for c in result.clusters if not c.is_singleton())
             tele.count("sixgen.runs")
@@ -712,10 +726,10 @@ class SixGen:
             tele.count("sixgen.budget_used", result.budget_used)
             tele.count("sixgen.sampled_targets", len(result.sampled))
             tele.observe("sixgen.run_seconds", result.elapsed_seconds)
-            if result._targets is not None:
+            if result._covered is not None:
                 # generate.* metrics: the generation plane's output
                 # rate, comparable across 6Gen and Entropy/IP runs.
-                targets_total = len(result._targets)
+                targets_total = result.target_count()
                 tele.count("generate.targets_total", targets_total)
                 if result.elapsed_seconds > 0:
                     tele.gauge(

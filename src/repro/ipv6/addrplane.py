@@ -136,6 +136,38 @@ def fuse_ints(addrs: Iterable[int]) -> np.ndarray:
     return fuse(*pack(list(addrs)))
 
 
+def unfuse(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Inverse of :func:`fuse`: ``S16`` keys -> contiguous hi/lo columns."""
+    cols = keys.view(">u8").reshape(-1, 2).astype(np.uint64)
+    return np.ascontiguousarray(cols[:, 0]), np.ascontiguousarray(cols[:, 1])
+
+
+def member_sorted(table: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Boolean membership of ``keys`` in a sorted, distinct key array."""
+    if not len(table) or not len(keys):
+        return np.zeros(len(keys), dtype=bool)
+    pos = np.searchsorted(table, keys)
+    pos[pos == len(table)] = 0  # compare out-of-range against [0]
+    return table[pos] == keys
+
+
+def merge_sorted(base: np.ndarray, top: np.ndarray) -> np.ndarray:
+    """Merge two sorted, mutually disjoint key arrays into one sorted array.
+
+    One ``searchsorted`` plus two scatter copies, where re-sorting the
+    concatenation would compare ``S16`` keys O(n log n) times.
+    """
+    if not len(top):
+        return base
+    idx = np.searchsorted(base, top) + np.arange(len(top))
+    merged = np.empty(len(base) + len(top), dtype=base.dtype)
+    at_top = np.zeros(len(merged), dtype=bool)
+    at_top[idx] = True
+    merged[idx] = top
+    merged[~at_top] = base
+    return merged
+
+
 # -- column-level set operations --------------------------------------------
 def is_columns(obj) -> bool:
     """True if ``obj`` is a packed ``(hi, lo)`` column pair.
@@ -255,9 +287,7 @@ class ColumnDeduper:
         for run in self._runs:
             if not len(uniq):
                 break
-            pos = np.searchsorted(run, uniq)
-            pos[pos == len(run)] = 0
-            fresh = run[pos] != uniq
+            fresh = ~member_sorted(run, uniq)
             uniq, first = uniq[fresh], first[fresh]
         if not len(uniq):
             return hi[:0], lo[:0]
@@ -267,17 +297,7 @@ class ColumnDeduper:
             and len(self._runs[-2]) < 2 * len(self._runs[-1])
         ):
             top = self._runs.pop()
-            base = self._runs.pop()
-            # Both runs are sorted and disjoint: one searchsorted plus
-            # two scatter copies beats re-sorting S16 keys by a wide
-            # margin (and ``np.insert``'s per-call overhead).
-            idx = np.searchsorted(base, top) + np.arange(len(top))
-            merged = np.empty(len(base) + len(top), dtype=base.dtype)
-            at_top = np.zeros(len(merged), dtype=bool)
-            at_top[idx] = True
-            merged[idx] = top
-            merged[~at_top] = base
-            self._runs.append(merged)
+            self._runs.append(merge_sorted(self._runs.pop(), top))
         first.sort()
         return hi[first], lo[first]
 
@@ -319,11 +339,7 @@ class FrozenKeySet:
 
     def member_keys(self, keys: np.ndarray) -> np.ndarray:
         """Boolean membership flags for pre-fused query keys."""
-        if not len(self.keys) or not len(keys):
-            return np.zeros(len(keys), dtype=bool)
-        pos = np.searchsorted(self.keys, keys)
-        pos[pos == len(self.keys)] = 0  # compare out-of-range against [0]
-        return self.keys[pos] == keys
+        return member_sorted(self.keys, keys)
 
     def _hashed(self) -> tuple:
         """Hash-sorted entry tables, built lazily (see ``hash_columns``).
@@ -337,11 +353,7 @@ class FrozenKeySet:
         """
         tables = self._hash_tables
         if tables is None:
-            cols = (
-                self.keys.view(">u8").reshape(-1, 2).astype(np.uint64)
-            )
-            hi = np.ascontiguousarray(cols[:, 0])
-            lo = np.ascontiguousarray(cols[:, 1])
+            hi, lo = unfuse(self.keys)
             hashes = hash_columns(hi, lo)
             order = np.argsort(hashes, kind="stable")
             hashes = hashes[order]

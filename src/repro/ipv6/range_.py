@@ -27,6 +27,17 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .address import AddressError
+from .addrplane import (
+    _M64,
+    ColumnDeduper,
+    _first_occurrence,
+    concat_columns,
+    fuse,
+    member_sorted,
+    merge_sorted,
+    unfuse,
+    unpack,
+)
 from .nybble import (
     FULL_MASK,
     HEXTET_COUNT,
@@ -404,6 +415,9 @@ class NybbleRange:
         rejection sampling when the difference is large (the acceptance
         rate is at least 1/16 per widened position because masks only
         widen), falling back to enumeration for small differences.
+        Both branches run on packed columns and draw exactly as the
+        per-address loops over :meth:`random_int` and ``rng.sample``
+        do (:func:`sample_range_arr`, :func:`sample_rows`).
         """
         diff_size = self.difference_size(old)
         if count > diff_size:
@@ -411,14 +425,8 @@ class NybbleRange:
                 f"cannot sample {count} addresses from difference of size {diff_size}"
             )
         if diff_size <= 4 * count or diff_size <= 4096:
-            population = list(self.iter_new_ints(old))
-            return rng.sample(population, count)
-        chosen: set[int] = set()
-        while len(chosen) < count:
-            candidate = self.random_int(rng)
-            if not old.contains(candidate):
-                chosen.add(candidate)
-        return sorted(chosen)
+            return unpack(*sample_rows(*expand_new_arr(self, old), count, rng))
+        return unpack(*sample_range_arr(self, count, rng, old=old))
 
     def random_int(self, rng: random.Random) -> int:
         """A uniformly random covered address."""
@@ -441,12 +449,8 @@ class NybbleRange:
                 f"cannot sample {count} distinct addresses from range of size {self._size}"
             )
         if self._size <= 4 * count:
-            population = list(self.iter_ints())
-            return rng.sample(population, count)
-        chosen: set[int] = set()
-        while len(chosen) < count:
-            chosen.add(self.random_int(rng))
-        return sorted(chosen)
+            return unpack(*sample_rows(*expand_range_arr(self), count, rng))
+        return unpack(*sample_range_arr(self, count, rng))
 
     # -- formatting & protocol --------------------------------------------
     def wildcard_text(self) -> str:
@@ -503,37 +507,40 @@ class NybbleRange:
 
 
 # -- column-native expansion (generation plane) -----------------------------
-def _expand_half_arr(masks: Sequence[int]) -> np.ndarray:
-    """Cartesian product of 16 nybble positions as one uint64 column.
+def _expand_masks_arr(masks: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Cartesian product of 32 nybble masks as ``(hi, lo)`` columns.
 
-    Fixed positions fold into one constant; each dynamic position then
-    contributes a single repeat/tile pass over the full-size output —
-    leftmost varying slowest, exactly the ``itertools.product`` order
-    of :meth:`NybbleRange.iter_ints`.  One full-size array op per
-    *dynamic* position (typically 1–3) instead of one per position.
+    Fixed positions fold into one constant per column; each dynamic
+    position then ORs its values into its column in one broadcast pass
+    over the full-size output — leftmost varying slowest, exactly the
+    ``itertools.product`` order of :meth:`NybbleRange.iter_ints`.  One
+    full-size array op per *dynamic* position (typically 1–3) instead
+    of one per position.
     """
     size = 1
     const = 0
     dynamic: list[tuple[int, tuple[int, ...]]] = []
-    for i, m in enumerate(masks):
-        shift = 4 * (len(masks) - 1 - i)
-        values = mask_values(m)
-        if len(values) == 1:
-            const |= values[0] << shift
-        else:
+    shift = 128
+    for m in masks:
+        shift -= 4
+        if m & (m - 1):
+            values = mask_values(m)
             dynamic.append((shift, values))
             size *= len(values)
-    out = np.full(size, np.uint64(const), dtype=np.uint64)
+        else:
+            const |= (m.bit_length() - 1) << shift
+    cols = [
+        np.full(size, const >> 64, dtype=np.uint64),
+        np.full(size, const & _M64, dtype=np.uint64),
+    ]
     stride = size
     for shift, values in dynamic:
         stride //= len(values)
-        shifted = np.array([v << shift for v in values], dtype=np.uint64)
-        block = np.repeat(shifted, stride)
-        if len(block) == size:
-            out |= block
-        else:
-            out |= np.tile(block, size // len(block))
-    return out
+        column, bit = divmod(shift, 64)
+        bits = np.array([v << bit for v in values], dtype=np.uint64)
+        view = cols[1 - column].reshape(-1, stride * len(values))
+        view |= np.repeat(bits, stride)
+    return cols[0], cols[1]
 
 
 def _expand_prefix_arr(
@@ -585,9 +592,187 @@ def expand_range_arr(
         return empty, empty
     if n < size:
         return _expand_prefix_arr(range_.masks, n)
-    hi = _expand_half_arr(range_.masks[:16])
-    lo = _expand_half_arr(range_.masks[16:])
-    return np.repeat(hi, len(lo)), np.tile(lo, len(hi))
+    return _expand_masks_arr(range_.masks)
+
+
+def expand_new_arr(
+    new: NybbleRange, old: NybbleRange
+) -> tuple[np.ndarray, np.ndarray]:
+    """Column-native :meth:`NybbleRange.iter_new_ints`: same rows, same order.
+
+    One product-set expansion per widened (pivot) position: earlier
+    pivots hold their old values, the pivot its new-only values, later
+    positions their new values.
+    """
+    if not old.is_subset(new):
+        raise RangeError("expand_new_arr requires old ⊆ new")
+    masks = list(new.masks)
+    parts = []
+    for pos, (mine, theirs) in enumerate(zip(new.masks, old.masks)):
+        if mine != theirs:
+            masks[pos] = mine & ~theirs
+            parts.append(_expand_masks_arr(masks))
+            masks[pos] = theirs
+    return concat_columns(parts)
+
+
+def sample_rows(
+    hi: np.ndarray, lo: np.ndarray, count: int, rng: random.Random
+) -> tuple[np.ndarray, np.ndarray]:
+    """``count`` rows in the order ``rng.sample(rows, count)`` picks them.
+
+    ``Random.sample`` draws from the population's length alone, so
+    sampling ``range(n)`` and gathering is draw for draw the same as
+    sampling a boxed list of the rows.
+    """
+    idx = np.array(rng.sample(range(len(hi)), count), dtype=np.intp)
+    return hi[idx], lo[idx]
+
+
+#: Most fresh generator words :func:`sample_range_arr` draws per block
+#: (1 MiB), so its memory stays bounded whatever the sample size.
+_WORD_BLOCK = 1 << 18
+_TOP_BIT = 1 << 31
+
+
+def _accepted_words(words: np.ndarray, thresholds: list[int]) -> np.ndarray:
+    """Indices of the words each whole candidate accepts, shape ``(n, 32)``.
+
+    Position ``p`` accepts a word ``w`` iff ``w < thresholds[p]``, and a
+    candidate moves to its next position after each accepted word, so
+    the position a word meets is the number of words accepted before
+    it, mod 32.  Every threshold is at least 2**31: words below 2**31
+    are accepted wherever they land, and when every position has a
+    power-of-two value count (all loose ranges) those are the only
+    accepted words.  Otherwise words in ``[2**31, max threshold)`` are
+    settled by one walk over just them, each with a bitmask of the
+    positions that would accept it.
+    """
+    accepted = words < _TOP_BIT
+    ambiguous = np.flatnonzero(~accepted & (words < max(thresholds)))
+    if len(ambiguous):
+        amb_words = words[ambiguous]
+        admits = np.zeros(len(ambiguous), dtype=np.uint64)
+        for pos, threshold in enumerate(thresholds):
+            if threshold > _TOP_BIT:
+                admits[amb_words < threshold] |= np.uint64(1 << pos)
+        low_before = np.cumsum(accepted)[ambiguous].tolist()
+        taken: list[int] = []
+        for i, (low, bits) in enumerate(zip(low_before, admits.tolist())):
+            if bits >> ((low + len(taken)) % NYBBLE_COUNT) & 1:
+                taken.append(i)
+        accepted[ambiguous[taken]] = True
+    idx = np.flatnonzero(accepted)
+    whole = len(idx) // NYBBLE_COUNT
+    return idx[: whole * NYBBLE_COUNT].reshape(whole, NYBBLE_COUNT)
+
+
+def sample_range_arr(
+    range_: NybbleRange,
+    count: int,
+    rng: random.Random,
+    *,
+    old: NybbleRange | None = None,
+    exclude: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rejection-sample ``count`` addresses from raw generator words.
+
+    Column-native counterpart of the loop ::
+
+        chosen = set()
+        while len(chosen) < count:
+            addr = range_.random_int(rng)
+            if addr not in old and addr not in exclude:
+                chosen.add(addr)
+        return sorted(chosen)
+
+    with the same addresses, as ascending ``(hi, lo)`` columns, and the
+    same ``rng`` state afterwards.  ``exclude`` is a sorted array of
+    fused keys (:func:`~repro.ipv6.addrplane.fuse`).
+
+    ``random_int`` makes one ``rng.choice`` per nybble position.  Over
+    ``n`` values, ``choice`` takes 32-bit Mersenne Twister words ``w``
+    until ``w >> (32 - k) < n`` (``k = n.bit_length()``), that is until
+    ``w < n << (32 - k)``, and picks value index ``w >> (32 - k)``; and
+    ``rng.getrandbits(32 * m)`` returns the next ``m`` words, the first
+    least significant.  So blocks of words decode into whole candidates
+    (:func:`_accepted_words`), which are filtered in bulk: outside
+    ``old``, outside ``exclude``, first seen.  Finally the generator is
+    rewound to the last block's draw and advanced by exactly the words
+    consumed up to the ``count``-th pick.  ``tests/test_ledger_parity.py``
+    pins the interpreter behaviour this relies on.
+    """
+    empty = np.empty(0, dtype=np.uint64)
+    if count <= 0:
+        return empty, empty
+    thresholds: list[int] = []
+    const = [0, 0]  # fixed nybbles of the hi and lo columns
+    dynamic = []  # (position, shift, column, value bits by value index)
+    widened = []  # (position, shift, old-membership by value index)
+    for pos, mask in enumerate(range_.masks):
+        values = mask_values(mask)
+        shift = 32 - len(values).bit_length()
+        thresholds.append(len(values) << shift)
+        column, bit = pos // 16, 4 * (15 - pos % 16)
+        if len(values) == 1:
+            const[column] |= values[0] << bit
+        else:
+            bits = np.array([v << bit for v in values], dtype=np.uint64)
+            dynamic.append((pos, shift, column, bits))
+        if old is not None and old.masks[pos] != mask:
+            inside = np.array([bool(old.masks[pos] >> v & 1) for v in values])
+            widened.append((pos, shift, inside))
+    size = range_.size()
+    available = size - (old.size() if old is not None else 0)
+    if count > available:
+        raise RangeError(f"cannot sample {count} addresses from {available}")
+    if exclude is not None:
+        available -= len(exclude)
+    # Expected words per pick, from the per-position acceptance rates
+    # and a pessimistic share of candidates that survive the filters.
+    words_per_pick = sum(2**32 / t for t in thresholds) * size / max(available, 1)
+
+    chosen = np.empty(0, dtype="S16")
+    carry = np.empty(0, dtype=np.uint32)
+    while True:
+        need = count - len(chosen)
+        fresh = min(_WORD_BLOCK, int(words_per_pick * need * 1.1) + 64)
+        state = rng.getstate()
+        drawn = rng.getrandbits(32 * fresh).to_bytes(4 * fresh, "little")
+        words = np.concatenate([carry, np.frombuffer(drawn, dtype="<u4")])
+        acc = _accepted_words(words, thresholds)
+        rows = np.arange(len(acc))
+        if widened:
+            in_old = np.ones(len(acc), dtype=bool)
+            for pos, shift, inside in widened:
+                in_old &= inside[words[acc[:, pos]] >> shift]
+            rows = rows[~in_old]
+        cols = [np.full(len(rows), c, dtype=np.uint64) for c in const]
+        for pos, shift, column, bits in dynamic:
+            cols[column] |= bits[words[acc[rows, pos]] >> shift]
+        shi, slo, first = _first_occurrence(*cols)
+        uniq = fuse(shi, slo)
+        keep = ~member_sorted(chosen, uniq)
+        if exclude is not None:
+            keep &= ~member_sorted(exclude, uniq)
+        uniq, first = uniq[keep], first[keep]
+        if len(uniq) >= need:
+            # The first ``need`` candidates in draw order; taking them in
+            # index order keeps the keys sorted.
+            picks = np.sort(np.argsort(first)[:need])
+            first = first[picks]
+            chosen = merge_sorted(chosen, uniq[picks])
+            break
+        chosen = merge_sorted(chosen, uniq)
+        # Words after the last whole candidate start the next block.
+        carry = words[int(acc[-1, -1]) + 1 if len(acc) else 0 :]
+    # The last pick's final word lies past the carry (a candidate ending
+    # inside it would have been whole in the previous block), so
+    # rewinding to this block's draw and re-drawing up to that word
+    # leaves the generator where the scalar loop leaves it.
+    rng.setstate(state)
+    rng.getrandbits(32 * (int(acc[rows[first.max()], -1]) + 1 - len(carry)))
+    return unfuse(chosen)
 
 
 def expand_ranges_arr(
@@ -607,8 +792,6 @@ def expand_ranges_arr(
     mid-iteration.  6Gen cluster lists are budget-bounded, so this does
     not matter in practice.
     """
-    from .addrplane import ColumnDeduper
-
     range_list = list(ranges)
     overlapping = [
         any(
