@@ -7,6 +7,8 @@ inspection); Akamai holding over half of aliased hits.
 """
 
 from repro.analysis import experiments as ex
+from repro.scanner.dealias import dealias, reference_dealias
+from repro.scanner.engine import Scanner
 
 from conftest import BENCH_BUDGET, BENCH_SCALE
 
@@ -26,6 +28,19 @@ def test_aliasing_census(benchmark, save_result):
     # Aliased hits concentrate in a handful of ASes.
     assert len(census.top_aliased_shares) <= 5
     assert sum(r.share for r in census.top_aliased_shares) > 0.9
+
+    # The column-native dealiasing equals the per-hit oracle over the
+    # census world's /96s and real AS mix: the same report and the same
+    # probes, each on a fresh scanner over the same truth.
+    outcome = ex.standard_outcome(BENCH_BUDGET, BENCH_SCALE)
+    internet = outcome.context.internet
+    column_scanner = Scanner(internet.truth)
+    column = dealias(outcome.raw_hits, column_scanner, internet.bgp)
+    oracle_scanner = Scanner(internet.truth)
+    oracle = reference_dealias(outcome.raw_hits, oracle_scanner, internet.bgp)
+    assert column == outcome.report
+    assert column == oracle
+    assert column_scanner.total_probes == oracle_scanner.total_probes
 
 
 def test_ns_seed_experiment(benchmark, save_result):

@@ -14,7 +14,6 @@ from repro.scanner.dealias import (
     as_level_inspection,
     dealias,
     detect_aliased_prefixes,
-    split_hits,
 )
 from repro.scanner.engine import Scanner
 from repro.simnet.aliasing import AliasedRegionSet
@@ -53,8 +52,9 @@ def main() -> None:
     print("stage 1 — aliased /96 prefixes detected:")
     for prefix in sorted(aliased_96):
         print(f"  {prefix}")
-    aliased_hits, remaining = split_hits(hits, aliased_96)
-    print(f"  -> {len(aliased_hits)} hits filtered, {len(remaining)} remain")
+    # hit_mask flags each hit that lies inside an aliased prefix.
+    remaining = [h for h, aliased in zip(hits, aliased_96.hit_mask) if not aliased]
+    print(f"  -> {len(hits) - len(remaining)} hits filtered, {len(remaining)} remain")
     print("  note: the /112-aliased network sailed through /96 probing\n")
 
     # Stage 2: AS-level inspection at /112 of the top remaining ASes.

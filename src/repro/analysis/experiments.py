@@ -793,9 +793,6 @@ def aliasing_census(
 ) -> AliasingCensus:
     """The §6.2 numbers: /96 aliasing rate, AS concentration."""
     outcome = standard_outcome(budget, scale)
-    from ..scanner.dealias import group_hits_by_prefix
-
-    hit_96s = group_hits_by_prefix(outcome.raw_hits, 96)
     internet = outcome.context.internet
     from ..scanner.dealias import summarize_aliased_prefixes
 
@@ -803,7 +800,7 @@ def aliasing_census(
         outcome.report.aliased_prefixes, internet.bgp
     )
     return AliasingCensus(
-        hit_prefixes_96=len(hit_96s),
+        hit_prefixes_96=outcome.report.prefixes_tested,
         aliased_prefixes_96=len(outcome.report.aliased_prefixes),
         aliased_hit_fraction=outcome.report.aliased_fraction(),
         aliased_asns=sorted(

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from ..scanner.dealias import group_hits_by_prefix
 from .experiments import ScanOutcome
 from .metrics import (
     SEED_BUCKETS,
@@ -63,14 +62,13 @@ def scan_report(outcome: ScanOutcome, title: str = "IPv6 scan report") -> str:
     ]
 
     # --- aliasing census ----------------------------------------------------
-    hit_96s = group_hits_by_prefix(outcome.raw_hits, 96)
     aliased_asn_names = sorted(
         internet.as_name(asn) for asn in outcome.report.aliased_asns
     )
     lines += [
         "## Aliasing census (§6.2 method)",
         "",
-        f"* /96 prefixes containing hits: {len(hit_96s)}",
+        f"* /96 prefixes containing hits: {outcome.report.prefixes_tested}",
         f"* of which aliased: {len(outcome.report.aliased_prefixes)}",
         f"* ASes aliased at finer granularity (AS-level /112 inspection): "
         f"{', '.join(aliased_asn_names) or '(none)'}",

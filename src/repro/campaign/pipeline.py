@@ -36,8 +36,11 @@ from ..telemetry.spans import Telemetry, ensure
 from .generate import generate_per_prefix
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    import numpy as np
+
     from ..analysis.grouping import MultiPrefixRun
     from ..faults.models import WorkerCrash
+    from ..ipv6.addrplane import PrefixMaskTable
     from ..ipv6.prefix import Prefix
     from ..scanner.execution import ScanExecution
     from ..scanner.schedule import TenantBudget
@@ -58,6 +61,31 @@ ALIAS_TEST_MAX_PROBES = 3 * 3
 #: hits one-per-/96, so the /64 pass must run first; the /96 pass then
 #: catches finer regions among the survivors.
 ALIAS_TEST_LENGTHS = (64, 96)
+
+
+def _flagged_table(verdicts: "Mapping[Prefix, bool]") -> "PrefixMaskTable":
+    """The prefixes ``verdicts`` flagged aliased, as one mask table."""
+    from ..ipv6.addrplane import PrefixMaskTable
+
+    networks: dict[int, list[int]] = {}
+    for prefix, bad in verdicts.items():
+        if bad:
+            networks.setdefault(prefix.length, []).append(prefix.network)
+    return PrefixMaskTable.from_networks(networks)
+
+
+def _split_flagged(
+    verdicts: "Mapping[Prefix, bool]", hits: set[int]
+) -> "tuple[set[int], np.ndarray]":
+    """Hits inside prefixes ``verdicts`` flagged, and the rest's sorted keys.
+
+    The second item holds the unflagged hits as ascending fused keys.
+    """
+    from ..ipv6.addrplane import fuse, pack, unpack
+
+    hi, lo = pack(sorted(hits))
+    flagged = _flagged_table(verdicts).match_any(hi, lo)
+    return set(unpack(hi[flagged], lo[flagged])), fuse(hi[~flagged], lo[~flagged])
 
 
 @dataclass(frozen=True)
@@ -473,41 +501,14 @@ class Campaign:
         Each prefix's 6Gen runs at its *cumulative* quota (6Gen target
         sets are budget-dependent, not nested, so the phase regenerates
         and filters rather than assuming extension), already-probed
-        addresses and addresses inside /96s the in-loop §6.2 tests
-        flagged as aliased are dropped via fused-key ledgers, and the
-        survivors are capped at this phase's allocation in
-        densest-cluster-first order.
+        addresses (a fused-key ledger) and addresses inside prefixes the
+        in-loop §6.2 tests flagged as aliased (a prefix mask table) are
+        dropped, and the survivors are capped at this phase's allocation
+        in densest-cluster-first order.
         """
         import numpy as np
 
         from ..ipv6.addrplane import dedupe_columns, fuse
-
-        flagged64 = sorted(
-            prefix.network >> 64
-            for prefix, bad in self._alias_verdicts.items()
-            if bad and prefix.length == 64
-        )
-        flagged64 = (
-            np.array(flagged64, dtype=np.uint64) if flagged64 else None
-        )
-        flagged96 = sorted(
-            prefix.network
-            for prefix, bad in self._alias_verdicts.items()
-            if bad and prefix.length == 96
-        )
-        flagged96 = (
-            np.sort(
-                fuse(
-                    np.array([n >> 64 for n in flagged96], dtype=np.uint64),
-                    np.array(
-                        [(n >> 32) & 0xFFFFFFFF for n in flagged96],
-                        dtype=np.uint64,
-                    ),
-                )
-            )
-            if flagged96
-            else None
-        )
 
         spec = self.spec
         for prefix in sorted(allocations):
@@ -521,6 +522,7 @@ class Campaign:
         }
         if not active:
             return {}
+        flagged = _flagged_table(self._alias_verdicts)
         quota = dict(self._gen_quota)
         self.run_output = generate_per_prefix(
             active,
@@ -543,15 +545,7 @@ class Campaign:
                 fresh = self._probed_keys[pos] != keys
             else:
                 fresh = np.ones(len(keys), dtype=bool)
-            if flagged64 is not None:
-                pos = np.searchsorted(flagged64, hi)
-                pos[pos == len(flagged64)] = 0
-                fresh &= flagged64[pos] != hi
-            if flagged96 is not None:
-                key96 = fuse(hi, lo >> np.uint64(32))
-                pos = np.searchsorted(flagged96, key96)
-                pos[pos == len(flagged96)] = 0
-                fresh &= flagged96[pos] != key96
+            fresh &= ~flagged.match_any(hi, lo)
             take = np.flatnonzero(fresh)[: allocations[prefix]]
             if len(take):
                 phase_cols[prefix] = (hi[take], lo[take])
@@ -608,9 +602,6 @@ class Campaign:
         """
         import numpy as np
 
-        from ..ipv6.addrplane import fuse_ints
-        from ..scanner.dealias import split_hits
-
         if self.execution is None:
             return
         scan = self.execution.result()
@@ -627,15 +618,10 @@ class Campaign:
         self.alias_probes += alias_cost
         phase_stats = scan.stats.copy()
         phase_stats.probes_sent += alias_cost
-        flagged = {p for p, bad in self._alias_verdicts.items() if bad}
-        if flagged:
-            aliased_hits, clean = split_hits(scan.hits, flagged)
-        else:
-            aliased_hits, clean = set(), set(scan.hits)
+        aliased_hits, hit_keys = _split_flagged(self._alias_verdicts, scan.hits)
         self.aliased_hits |= aliased_hits
         self._completed_stats.merge(phase_stats)
         self._all_hits |= scan.hits
-        hit_keys = np.sort(fuse_ints(sorted(clean)))
         observations: dict[str, list[int]] = {}
         for prefix in sorted(self._phase_keys):
             keys = self._phase_keys[prefix]
@@ -673,34 +659,35 @@ class Campaign:
         lifetime.  Returns the new verdicts and the probe cost (never
         above ``allowance``), which the caller charges.
         """
-        from ..scanner.dealias import (
-            detect_aliased_prefixes,
-            group_hits_by_prefix,
-            split_hits,
-        )
+        import numpy as np
+
+        from ..ipv6.addrplane import pack, unpack
+        from ..ipv6.prefix import Prefix
+        from ..scanner.dealias import detect_aliased_prefixes, group_columns
 
         verdicts: dict = {}
         cost = 0
-        remaining = set(hits)
+        hi, lo = pack(sorted(hits))
         for length in ALIAS_TEST_LENGTHS:
-            flagged = {
-                prefix
-                for prefix, bad in {**self._alias_verdicts, **verdicts}.items()
-                if bad
-            }
-            if flagged and remaining:
-                _, remaining = split_hits(remaining, flagged)
-            if not remaining:
+            flagged = _flagged_table({**self._alias_verdicts, **verdicts})
+            keep = ~flagged.match_any(hi, lo)
+            hi, lo = hi[keep], lo[keep]
+            if not len(hi):
                 break
-            groups = group_hits_by_prefix(remaining, length)
+            net_hi, net_lo, inverse = group_columns(hi, lo, length)
+            counts = np.bincount(inverse, minlength=len(net_hi))
+            # Only prefixes with enough hits are boxed, to keep the
+            # candidate order (-hits, prefix text).
+            busy = np.flatnonzero(counts >= ALIAS_TEST_MIN_HITS)
+            rows = {
+                Prefix(network, length): row
+                for network, row in zip(
+                    unpack(net_hi[busy], net_lo[busy]), busy.tolist()
+                )
+            }
             candidates = sorted(
-                (
-                    prefix
-                    for prefix, addrs in groups.items()
-                    if len(addrs) >= ALIAS_TEST_MIN_HITS
-                    and prefix not in self._alias_verdicts
-                ),
-                key=lambda p: (-len(groups[p]), str(p)),
+                (prefix for prefix in rows if prefix not in self._alias_verdicts),
+                key=lambda p: (-int(counts[rows[p]]), str(p)),
             )[
                 : min(
                     ALIAS_TEST_MAX_TESTS,
@@ -709,12 +696,10 @@ class Campaign:
             ]
             if not candidates:
                 continue
-            subset = [
-                addr for prefix in candidates for addr in groups[prefix]
-            ]
+            subset = np.isin(inverse, [rows[prefix] for prefix in candidates])
             before = self._scanner.total_probes
             aliased = detect_aliased_prefixes(
-                subset,
+                (hi[subset], lo[subset]),
                 self._scanner,
                 length=length,
                 port=self.spec.port,
@@ -790,7 +775,6 @@ class Campaign:
 
         from ..ipv6.prefix import Prefix
         from ..scanner.checkpoint import load_scan_checkpoint
-        from ..scanner.dealias import split_hits
         from ..telemetry.sinks import read_jsonl
 
         if self.checkpoint_path is None:
@@ -846,10 +830,7 @@ class Campaign:
             self.alias_probes += int(event.get("alias_probes", 0))
             for key, bad in event.get("alias_tests", {}).items():
                 self._alias_verdicts[Prefix.parse(key)] = bool(bad)
-            flagged = {p for p, bad in self._alias_verdicts.items() if bad}
-            if flagged and hits:
-                aliased_hits, _ = split_hits(hits, flagged)
-                self.aliased_hits |= aliased_hits
+            self.aliased_hits |= _split_flagged(self._alias_verdicts, hits)[0]
             for key, (probes, hits_count) in event["observations"].items():
                 state = self.progress[by_str[key]]
                 state.probes += int(probes)
@@ -907,7 +888,6 @@ class Campaign:
         if self.spec.dealias:
             return dealias(
                 hits, scanner, self.bgp, port=self.spec.port,
-                workers=self.spec.scan_config.workers,
                 telemetry=self.telemetry,
             )
         return DealiasReport(clean_hits=set(hits))

@@ -10,6 +10,7 @@ from .checkpoint import (
 from .dealias import (
     AliasedSummary,
     DealiasReport,
+    PrefixSet,
     as_level_inspection,
     dealias,
     detect_aliased_prefixes,
@@ -42,6 +43,7 @@ __all__ = [
     "TenantBudget",
     "AliasedSummary",
     "DealiasReport",
+    "PrefixSet",
     "Probe",
     "ResumeState",
     "ScanCheckpointer",

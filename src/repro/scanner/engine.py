@@ -237,9 +237,9 @@ class Scanner:
         # Independent deterministic streams so single-probe callers
         # (probe / probe_retry) and bulk scans never perturb each other:
         # scan order/loss keys come from _order_rng, the batched-prober
-        # loss PRF from _probe_key.  A worker process rebuilt from the
-        # same rng_seed derives the same keys, which is what makes
-        # parallel dealiasing reproduce the serial decisions.
+        # loss PRF from _probe_key.  A scanner rebuilt from the same
+        # rng_seed derives the same keys, so it reproduces another's
+        # dealiasing verdicts (the census parity check relies on it).
         if rng_seed is None:
             self._order_rng = random.Random()
             self._probe_key = random.Random().getrandbits(64)
@@ -325,7 +325,19 @@ class Scanner:
         if len(addrs) >= _ARRAY_PROBE_MIN and ScanPlane.supports(
             self.truth, self.blacklist
         ):
-            return self._probe_many_arr(addrs, port, attempts, stats)
+            return self.probe_columns(
+                *pack(addrs), port, attempts=attempts, stats=stats
+            ).tolist()
+        return self._probe_many_scalar(addrs, port, attempts, stats)
+
+    def _probe_many_scalar(
+        self,
+        addrs: list[int],
+        port: int,
+        attempts: int,
+        stats: ScanStats | None,
+    ) -> list[bool]:
+        """Per-address :meth:`probe_many` for types the plane rejects."""
         results = [False] * len(addrs)
         if self.blacklist:
             flags = self.blacklist.contains_many(addrs)
@@ -367,27 +379,37 @@ class Scanner:
             pending = [i for i in pending if not results[i]]
         return results
 
-    def _probe_many_arr(
+    def probe_columns(
         self,
-        addrs: list[int],
-        port: int,
-        attempts: int,
-        stats: ScanStats | None,
-    ) -> list[bool]:
-        """Array-native :meth:`probe_many`: identical verdicts and stats."""
-        import numpy as np
+        hi: np.ndarray,
+        lo: np.ndarray,
+        port: int = DEFAULT_PORT,
+        *,
+        attempts: int = 1,
+        stats: ScanStats | None = None,
+    ) -> np.ndarray:
+        """:meth:`probe_many` over packed ``(hi, lo)`` columns.
 
-        from ..ipv6.addrplane import pack
-
-        hi, lo = pack(addrs)
-        results = np.zeros(len(addrs), dtype=bool)
+        Returns one bool per row, with verdicts, probe counts and
+        ``stats`` identical to :meth:`probe_many` on the unpacked
+        addresses.  Truth or blacklist types the plane cannot snapshot
+        (:meth:`ScanPlane.supports`) take the per-address path.
+        """
+        if attempts < 1:
+            raise ValueError(f"attempts must be >= 1: {attempts}")
+        if not ScanPlane.supports(self.truth, self.blacklist):
+            return np.array(
+                self._probe_many_scalar(unpack(hi, lo), port, attempts, stats),
+                dtype=bool,
+            )
+        results = np.zeros(len(hi), dtype=bool)
         if self.blacklist:
             blocked = self.blacklist.contains_arr(hi, lo)
             pending = np.flatnonzero(~blocked)
             if stats is not None:
-                stats.blacklisted += len(addrs) - len(pending)
+                stats.blacklisted += len(hi) - len(pending)
         else:
-            pending = np.arange(len(addrs))
+            pending = np.arange(len(hi))
         loss = self.loss_rate
         for attempt in range(attempts):
             if not len(pending):
@@ -416,7 +438,7 @@ class Scanner:
                 if stats is not None:
                     stats.responses += len(responded)
             pending = pending[~results[pending]]
-        return results.tolist()
+        return results
 
     # -- bulk scan ------------------------------------------------------------
     def _uses_plane(self) -> bool:

@@ -5,6 +5,10 @@ to group seeds "by BGP origin routed prefix" (§6.1).  Lookups are
 longest-prefix match over a per-length hash index, so a full-table
 lookup costs one dictionary probe per distinct prefix length present.
 
+Column batches (:meth:`BgpTable.origin_asn_columns`) run the same
+match over packed ``(hi, lo)`` address columns: one masked-key search
+per route length, longest first.
+
 The paper notes (§4.2) that some routed prefixes are longer than
 64 bits despite RFC 4291; the table imposes no such limit.
 """
@@ -15,6 +19,9 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
+import numpy as np
+
+from ..ipv6.addrplane import fuse, mask_columns, pack
 from ..ipv6.prefix import Prefix, network_mask
 
 
@@ -37,6 +44,9 @@ class BgpTable:
         self._index: dict[int, dict[int, Route]] = defaultdict(dict)
         self._lengths: list[int] = []  # descending, maintained on insert
         self._count = 0
+        # Per-length sorted network keys for column lookups; built on
+        # first use, dropped by add().
+        self._columns: list[tuple] | None = None
         for route in routes:
             self.add(route)
 
@@ -47,6 +57,7 @@ class BgpTable:
             raise ValueError(f"duplicate route for {route.prefix}")
         bucket[route.prefix.network] = route
         self._count += 1
+        self._columns = None
         if route.prefix.length not in self._lengths:
             self._lengths.append(route.prefix.length)
             self._lengths.sort(reverse=True)
@@ -69,6 +80,40 @@ class BgpTable:
     def origin_asn(self, addr: int) -> int | None:
         route = self.lookup(addr)
         return route.asn if route else None
+
+    def _column_index(self) -> list[tuple]:
+        """``(mask hi, mask lo, sorted network keys, ASNs)``, longest first."""
+        if self._columns is None:
+            index = []
+            for length in self._lengths:
+                bucket = self._index[length]
+                networks = sorted(bucket)
+                asns = np.array(
+                    [bucket[network].asn for network in networks], dtype=np.int64
+                )
+                index.append((*mask_columns(length), fuse(*pack(networks)), asns))
+            self._columns = index
+        return self._columns
+
+    def origin_asn_columns(self, hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
+        """:meth:`origin_asn` over address columns; -1 where unrouted.
+
+        Masks the still-unmatched rows to each route length, longest
+        first, and searches that length's sorted network keys, in the
+        pattern of :class:`~repro.ipv6.addrplane.PrefixMaskTable`.
+        """
+        asn = np.full(len(hi), -1, dtype=np.int64)
+        pending = np.arange(len(hi))
+        for mask_hi, mask_lo, keys, asns in self._column_index():
+            if not len(pending):
+                break
+            query = fuse(hi[pending] & mask_hi, lo[pending] & mask_lo)
+            pos = np.searchsorted(keys, query)
+            pos[pos == len(keys)] = 0
+            found = keys[pos] == query
+            asn[pending[found]] = asns[pos[found]]
+            pending = pending[~found]
+        return asn
 
     def __len__(self) -> int:
         return self._count

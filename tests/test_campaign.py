@@ -40,8 +40,7 @@ def _reference(context, spec):
     scanner = Scanner(context.internet.truth, config=spec.scan_config)
     scan = scanner.scan(run.iter_target_columns(), port=spec.port)
     report = dealias(
-        scan.hits, scanner, context.internet.bgp, port=spec.port,
-        workers=spec.scan_config.workers,
+        scan.hits, scanner, context.internet.bgp, port=spec.port
     )
     return scan, report
 

@@ -102,6 +102,33 @@ class TestAsInspection:
         flagged = as_level_inspection(hits, self._bgp(), scanner)
         assert flagged == set()
 
+    def test_top_k_ties_break_to_lower_asn(self):
+        # Eleven ASes with one hit each inside an aliased /112 tie for
+        # the top ten.  The hits' hashes agree in their low ten bits,
+        # so a set iterates them in insertion order: ranking ties by
+        # input order would leave a different AS unflagged for the
+        # reversed input.
+        bgp = BgpTable()
+        regions, hits = [], []
+        for i in range(11):
+            network = (0x2A000000 + i) << 96
+            bgp.add_route(Prefix(network, 32), 64500 + i)
+            region = Prefix(network | 0xAB << 16, 112)
+            regions.append(str(region))
+            hits.append(
+                next(
+                    region.network | x
+                    for x in range(1 << 16)
+                    if hash(region.network | x) % 1024 == 0
+                )
+            )
+        top_ten = set(range(64500, 64510))
+        for order in (hits, hits[::-1]):
+            assert as_level_inspection(order, bgp, _world(aliased=regions)) == top_ten
+            report = dealias(set(order), _world(aliased=regions), bgp)
+            assert report.aliased_asns == top_ten
+            assert report.clean_hits == {hits[10]}
+
 
 class TestFullPipeline:
     def test_dealias_end_to_end(self):
@@ -166,36 +193,3 @@ class TestAliasedSummary:
         assert summary.aliased_prefix_count == 0
         assert not summary.asns
 
-
-class TestParallelDealias:
-    def _world(self):
-        regions = AliasedRegionSet()
-        for i in range(6):
-            regions.add_prefix(Prefix.parse(f"2001:db8:{i:x}::/96"))
-        hosts = [addr(f"2600::{i:x}") for i in range(1, 40)]
-        truth = GroundTruth({80: set(hosts)}, regions)
-        return Scanner(truth, rng_seed=0), hosts
-
-    def test_workers_match_serial(self):
-        scanner, hosts = self._world()
-        hits = hosts + [
-            addr(f"2001:db8:{i:x}::{j:x}") for i in range(6) for j in range(1, 30)
-        ]
-        serial = detect_aliased_prefixes(hits, scanner)
-        parallel = detect_aliased_prefixes(hits, self._world()[0], workers=2)
-        assert parallel == serial
-        assert len(serial) == 6
-
-    def test_full_pipeline_workers_match(self):
-        scanner, hosts = self._world()
-        bgp = BgpTable()
-        bgp.add_route(Prefix.parse("2001:db8::/32"), 1)
-        bgp.add_route(Prefix.parse("2600::/32"), 100)
-        hits = hosts + [
-            addr(f"2001:db8:{i:x}::{j:x}") for i in range(6) for j in range(1, 30)
-        ]
-        serial = dealias(hits, scanner, bgp)
-        pooled = dealias(hits, self._world()[0], bgp, workers=2)
-        assert pooled.aliased_prefixes == serial.aliased_prefixes
-        assert pooled.clean_hits == serial.clean_hits
-        assert pooled.aliased_asns == serial.aliased_asns

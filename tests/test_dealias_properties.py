@@ -3,6 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.ipv6.addrplane import pack
 from repro.ipv6.prefix import Prefix
 from repro.scanner.dealias import group_hits_by_prefix, split_hits
 from repro.simnet.bgp import BgpTable, group_by_routed_prefix
@@ -63,6 +64,10 @@ class TestBgpProperties:
                 route = table.lookup(member)
                 assert route is not None
                 assert route.prefix == prefix
+        assert table.origin_asn_columns(*pack(addrs)).tolist() == [
+            -1 if route is None else route.asn
+            for route in map(table.lookup, addrs)
+        ]
 
     @settings(max_examples=30)
     @given(addresses, st.integers(min_value=1, max_value=127))
@@ -71,5 +76,8 @@ class TestBgpProperties:
         coarse = Prefix.containing(network, length)
         fine = Prefix.containing(network, min(length + 1, 128))
         table.add_route(coarse, 1)
+        column = pack([network])
+        assert table.origin_asn_columns(*column).tolist() == [1]
         table.add_route(fine, 2)
         assert table.origin_asn(network) == 2
+        assert table.origin_asn_columns(*column).tolist() == [2]

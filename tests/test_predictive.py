@@ -217,8 +217,7 @@ class TestPhasedCampaign:
         scanner = Scanner(context.internet.truth, config=spec.scan_config)
         scan = scanner.scan(run.iter_target_columns(), port=spec.port)
         report = dealias(
-            scan.hits, scanner, context.internet.bgp, port=spec.port,
-            workers=spec.scan_config.workers,
+            scan.hits, scanner, context.internet.bgp, port=spec.port
         )
         result = _campaign(context, spec).run()
         assert result.raw_hits == scan.hits
