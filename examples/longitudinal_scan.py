@@ -55,7 +55,7 @@ def main() -> None:
           f"{internet.truth.host_count(80)} active hosts")
 
     # -- epoch 0: one full campaign seeds the living hitlist ----------
-    store_path = Path(tempfile.mkdtemp()) / "hitlist.jsonl"
+    store_path = Path(tempfile.mkdtemp()) / "store.hitlist"
     store = LivingHitlist(path=store_path)
     dynamic = DynamicWorld(internet, churn_seed=3)
     bootstrap = Campaign(internet.truth, internet.bgp, groups, spec).run()

@@ -25,24 +25,45 @@ decay it forward to the asked-about epoch.  With the default
 re-probe* (``< reprobe_threshold``) after about two — which is where a
 delta campaign's probe savings come from.
 
-Persistence mirrors the scan checkpoint layer: an append-only JSONL
-event log (one ``observe`` record per ingested scan, flushed per
-line), compacted by ``snapshot`` markers pointing at an ``.npz``
-column dump written atomically via temp-file + rename.  Loading reads
-the last snapshot and replays the tail, so a crash mid-run loses at
-most one partial trailing line.
+Persistence is one binary, append-only log at ``path`` (format 2):
+
+* a magic line, then a little-endian ``uint32`` length and a JSON
+  header ``{"format": "repro-hitlist", "version": 2, "log_id": ...}``;
+* one record per :meth:`LivingHitlist.observe`: a fixed 20-byte header
+  (``int64`` epoch, ``uint64`` row count, ``uint32`` CRC32 of the
+  epoch, the row count and the payload), then the payload — the rows'
+  little-endian ``hi`` bytes, their ``lo`` bytes, and
+  ``np.packbits`` of their hit flags.  Rows are the observation's
+  sorted, distinct addresses, so replay applies them as they are.
+
+Each record is flushed as it is written.  :meth:`LivingHitlist.snapshot`
+fsyncs the log, then dumps the columns to ``<log>.snap.npz`` (temp file
++ fsync + ``os.replace``) together with the ``log_id`` and the number
+of records the dump covers.  :meth:`LivingHitlist.open` loads the dump
+and replays only the records after that count; since the count lives
+in the dump, no crash point can make a record apply twice.  A last
+record that runs past end of file or fails its CRC is a torn tail from
+an interrupted write: it is dropped, and cut off before the next
+append.  A CRC failure on any earlier record raises.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import struct
+import zlib
 from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
-from ..ipv6.addrplane import fuse, pack, unpack
-from ..telemetry.sinks import JsonlSink, read_jsonl
+from ..ipv6.addrplane import (
+    _first_occurrence,
+    fuse,
+    is_columns,
+    pack,
+    unpack,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..telemetry.spans import Telemetry
@@ -57,23 +78,160 @@ DEFAULT_REPROBE_THRESHOLD = 0.45
 DEFAULT_MISS_FORGET_AGE = 8
 
 _FORMAT = "repro-hitlist"
-_VERSION = 1
+_VERSION = 2
+#: First line of a format-2 log (a version-1 JSONL log starts with ``{``).
+_MAGIC = b"repro-hitlist\n"
+_HEADER_LEN = struct.Struct("<I")
+#: Record header: epoch, row count, CRC32 (the CRC covers the first two).
+_RECORD = struct.Struct("<qQI")
+_FIELDS = struct.Struct("<qQ")
 
 
-def _as_columns(targets) -> tuple[np.ndarray, np.ndarray]:
-    """Coerce an address source to packed ``(hi, lo)`` columns."""
-    if isinstance(targets, tuple) and len(targets) == 2:
-        return targets
-    return pack(sorted(int(a) for a in targets))
+def _payload_size(rows: int) -> int:
+    return 16 * rows + (rows + 7) // 8
+
+
+def _crc(epoch: int, rows: int, payload: bytes) -> int:
+    """CRC32 over a record's epoch and row-count fields and its payload."""
+    return zlib.crc32(payload, zlib.crc32(_FIELDS.pack(epoch, rows)))
+
+
+def _sorted_columns(source) -> tuple[np.ndarray, np.ndarray]:
+    """An address source (packed columns or ints) as ascending, distinct columns."""
+    hi, lo = source if is_columns(source) else pack(source)
+    hi, lo, _ = _first_occurrence(hi, lo)
+    return hi, lo
+
+
+def _locate(table: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Insertion positions of ``keys`` in a sorted key ``table``, and which are present."""
+    pos = np.searchsorted(table, keys)
+    found = np.zeros(len(keys), dtype=bool)
+    inside = pos < len(table)
+    found[inside] = table[pos[inside]] == keys[inside]
+    return pos, found
+
+
+def _insert_rows(pos: np.ndarray, columns) -> list[np.ndarray]:
+    """Insert new rows into sorted columns at their ``searchsorted`` positions.
+
+    ``pos`` (ascending) places each new row among the old ones; each
+    entry of ``columns`` is an ``(old, new)`` pair for one column, where
+    ``new`` may be a scalar shared by every new row.  One scatter per
+    column, as in :func:`~repro.ipv6.addrplane.merge_sorted`, where
+    re-sorting the concatenation would compare every key again.
+    """
+    at = pos + np.arange(len(pos))
+    keep = np.ones(len(columns[0][0]) + len(pos), dtype=bool)
+    keep[at] = False
+    merged = []
+    for old, new in columns:
+        out = np.empty(len(keep), dtype=old.dtype)
+        out[at] = new
+        out[keep] = old
+        merged.append(out)
+    return merged
+
+
+class _Log:
+    """The append-only format-2 observe log behind a store's ``path``.
+
+    ``end`` is the offset just past the last whole record; anything
+    beyond it is a torn tail, cut off when the file is first opened for
+    writing (the first append or fsync).
+    """
+
+    def __init__(self, path: str, log_id: str, end: int, records: int):
+        self.path = path
+        self.log_id = log_id
+        self.end = end
+        self.records = records
+        self._handle = None
+
+    @classmethod
+    def create(cls, path: str) -> "_Log":
+        log_id = os.urandom(8).hex()
+        header = json.dumps(
+            {"format": _FORMAT, "version": _VERSION, "log_id": log_id},
+            sort_keys=True,
+        ).encode()
+        blob = _MAGIC + _HEADER_LEN.pack(len(header)) + header
+        with open(path, "wb") as handle:
+            handle.write(blob)
+        return cls(path, log_id, len(blob), 0)
+
+    def append(self, epoch: int, hi: np.ndarray, lo: np.ndarray, flags: np.ndarray) -> None:
+        rows = len(hi)
+        payload = b"".join(
+            (
+                hi.astype("<u8", copy=False).tobytes(),
+                lo.astype("<u8", copy=False).tobytes(),
+                np.packbits(flags).tobytes(),
+            )
+        )
+        handle = self._writer()
+        handle.write(_RECORD.pack(epoch, rows, _crc(epoch, rows, payload)) + payload)
+        handle.flush()
+        self.end += _RECORD.size + len(payload)
+        self.records += 1
+
+    def sync(self) -> None:
+        """Make every record written so far durable (fsync the file)."""
+        os.fsync(self._writer().fileno())
+
+    def _writer(self):
+        if self._handle is None:
+            self._handle = open(self.path, "r+b")
+            self._handle.truncate(self.end)
+            self._handle.seek(self.end)
+        return self._handle
+
+    def close(self) -> None:
+        if self._handle is not None:
+            self._handle.close()
+            self._handle = None
+
+
+def _snapshot_path(path: str) -> str:
+    return path + ".snap.npz"
+
+
+def _read_header(handle, path: str) -> tuple[str, int]:
+    """Validate a log's header; return its ``log_id`` and the first record offset."""
+    magic = handle.read(len(_MAGIC))
+    if magic.startswith(b"{"):
+        raise ValueError(
+            f"hitlist log {path} is a version-1 (JSONL) log; this version "
+            f"reads only binary version-{_VERSION} logs: rebuild the store"
+        )
+    header = None
+    raw = handle.read(_HEADER_LEN.size)
+    if magic == _MAGIC and len(raw) == _HEADER_LEN.size:
+        try:
+            header = json.loads(handle.read(_HEADER_LEN.unpack(raw)[0]))
+        except ValueError:
+            pass
+    if (
+        not isinstance(header, dict)
+        or header.get("format") != _FORMAT
+        or not header.get("log_id")
+    ):
+        raise ValueError(f"{path} is not a hitlist log, or its header is damaged")
+    if header.get("version") != _VERSION:
+        raise ValueError(
+            f"hitlist log {path} is version {header.get('version')}; this "
+            f"version reads only version {_VERSION}: rebuild the store"
+        )
+    return str(header["log_id"]), handle.tell()
 
 
 class LivingHitlist:
     """Per-address observation state with exponential score decay.
 
-    Build empty (optionally bound to a ``path`` for persistence) or via
-    :meth:`open` to reload an existing store.  Feed scan outcomes with
-    :meth:`observe`; plan re-probes with :meth:`due_for_reprobe` and
-    read the current belief with :meth:`believed_live`.
+    Build empty (optionally bound to a fresh ``path`` for persistence)
+    or via :meth:`open` to reload an existing store.  Feed scan outcomes
+    with :meth:`observe`; plan re-probes with :meth:`due_for_reprobe`
+    and read the current belief with :meth:`believed_live`.
     """
 
     def __init__(
@@ -100,9 +258,14 @@ class LivingHitlist:
         from ..telemetry.spans import ensure
 
         self._tele = ensure(telemetry)
-        self._sink: JsonlSink | None = None
+        self._log: _Log | None = None
         if self.path is not None:
-            self._sink = JsonlSink(self.path)
+            if os.path.exists(self.path) and os.path.getsize(self.path):
+                raise ValueError(
+                    f"hitlist log {self.path} already exists: reload it "
+                    "with LivingHitlist.open()"
+                )
+            self._log = _Log.create(self.path)
 
     # -- construction --------------------------------------------------
 
@@ -114,38 +277,68 @@ class LivingHitlist:
         decay: float = DEFAULT_DECAY,
         telemetry: "Telemetry | None" = None,
     ) -> "LivingHitlist":
-        """Reload a store from its event log (last snapshot + tail).
+        """Reload a store from its log: the snapshot, then later records.
 
-        Missing files yield an empty store bound to ``path`` — opening
-        is how a longitudinal run bootstraps its first epoch.
+        Missing (or empty) files yield an empty store bound to ``path``
+        — opening is how a longitudinal run bootstraps its first epoch.
+        Version-1 (JSONL) logs, corrupt records before the last, and
+        snapshots of another log or of more records than the log holds
+        raise ``ValueError``.
         """
         path = os.fspath(path)
-        events: list[dict] = []
-        if os.path.exists(path):
-            events = read_jsonl(path)
-        store = cls.__new__(cls)
-        # Re-run __init__ without the sink so replay does not re-log.
-        LivingHitlist.__init__(store, decay=decay, telemetry=telemetry)
+        if not os.path.exists(path) or not os.path.getsize(path):
+            return cls(decay=decay, path=path, telemetry=telemetry)
+        store = cls(decay=decay, telemetry=telemetry)
         store.path = path
-        # Find the last usable snapshot marker and replay from there.
-        start = 0
-        for index, event in enumerate(events):
-            if event.get("kind") != "snapshot":
-                continue
-            snap_path = os.path.join(
-                os.path.dirname(path) or ".", event["file"]
-            )
-            if os.path.exists(snap_path):
-                start = index + 1
-                store._load_snapshot(snap_path)
-        for event in events[start:]:
-            if event.get("kind") == "observe":
-                store._replay(event)
-        store._sink = JsonlSink(path)
+        with open(path, "rb") as handle:
+            log_id, offset = _read_header(handle, path)
+            size = os.fstat(handle.fileno()).st_size
+            # Walk the record headers, seeking past their payloads; a
+            # record that runs past end of file is a torn tail.
+            records: list[tuple[int, int, int, int]] = []  # offset, epoch, rows, crc
+            while offset + _RECORD.size <= size:
+                handle.seek(offset)
+                epoch, rows, crc = _RECORD.unpack(handle.read(_RECORD.size))
+                end = offset + _RECORD.size + _payload_size(rows)
+                if end > size:
+                    break
+                records.append((offset, epoch, rows, crc))
+                offset = end
+            covered = 0
+            snap = _snapshot_path(path)
+            if os.path.exists(snap):
+                covered = store._load_snapshot(snap, log_id, len(records))
+            for index, (start, epoch, rows, crc) in enumerate(records[covered:], covered):
+                handle.seek(start + _RECORD.size)
+                payload = handle.read(_payload_size(rows))
+                if _crc(epoch, rows, payload) != crc:
+                    if index == len(records) - 1 and offset == size:
+                        offset = start  # a torn last record
+                        del records[index:]
+                        break
+                    raise ValueError(
+                        f"hitlist log {path}: record {index} of "
+                        f"{len(records)} fails its CRC"
+                    )
+                store._replay(epoch, rows, payload)
+        store._log = _Log(path, log_id, offset, len(records))
         return store
 
-    def _load_snapshot(self, snap_path: str) -> None:
+    def _load_snapshot(self, snap_path: str, log_id: str, records: int) -> int:
+        """Load a dump of this log; return how many records it covers."""
         with np.load(snap_path) as data:
+            found = str(data["log_id"]) if "log_id" in data.files else None
+            if found != log_id:
+                raise ValueError(
+                    f"hitlist snapshot {snap_path} belongs to log {found}, "
+                    f"not to this log ({log_id}): remove the snapshot"
+                )
+            covered = int(data["records"])
+            if covered > records:
+                raise ValueError(
+                    f"hitlist snapshot {snap_path} covers {covered} records "
+                    f"but the log holds only {records}"
+                )
             self._hi = data["hi"].astype(np.uint64)
             self._lo = data["lo"].astype(np.uint64)
             self._last_seen = data["last_seen"].astype(np.int64)
@@ -154,12 +347,16 @@ class LivingHitlist:
             self.latest_epoch = int(data["latest_epoch"])
         self._keys = fuse(self._hi, self._lo)
         self.events_since_snapshot = 0
+        return covered
 
-    def _replay(self, event: dict) -> None:
-        epoch = int(event["epoch"])
-        hits = [int(a, 16) for a in event.get("hits", ())]
-        misses = [int(a, 16) for a in event.get("misses", ())]
-        self._apply(epoch, hits, misses)
+    def _replay(self, epoch: int, rows: int, payload: bytes) -> None:
+        halves = np.frombuffer(payload, dtype="<u8", count=2 * rows)
+        hi = halves[:rows].astype(np.uint64)
+        lo = halves[rows:].astype(np.uint64)
+        flags = np.unpackbits(
+            np.frombuffer(payload, dtype=np.uint8, offset=16 * rows), count=rows
+        ).astype(bool)
+        self._apply(epoch, fuse(hi, lo), hi, lo, flags)
         self.events_since_snapshot += 1
 
     # -- ingestion -----------------------------------------------------
@@ -172,11 +369,13 @@ class LivingHitlist:
     ) -> dict:
         """Record one scan's outcome: every probed address, hit or miss.
 
-        ``probed`` is the scan's deduplicated target source (packed
-        columns or ints); ``hits`` the responsive subset.  Addresses
-        never seen before are admitted; known addresses get their score
-        decayed to ``epoch`` and bumped (hit) or left to fade (miss).
-        Returns a small summary dict (``hits``/``misses``/``new``).
+        ``probed`` is the scan's target source and ``hits`` the
+        responsive addresses, each as packed columns or ints; hits
+        outside ``probed`` (retries of earlier targets, say) count as
+        observations too.  Addresses never seen before are admitted;
+        known addresses get their score decayed to ``epoch`` and bumped
+        (hit) or left to fade (miss).  Returns a small summary dict:
+        distinct ``hits`` and ``misses``, and ``new`` entries.
         """
         epoch = int(epoch)
         if epoch < self.latest_epoch:
@@ -184,96 +383,79 @@ class LivingHitlist:
                 f"observations must be epoch-ordered: got {epoch} after "
                 f"{self.latest_epoch}"
             )
-        hit_set = {int(a) for a in hits}
-        phi, plo = _as_columns(probed)
-        probed_ints = unpack(phi, plo)
-        hit_list = sorted(a for a in probed_ints if a in hit_set)
-        miss_list = sorted(a for a in probed_ints if a not in hit_set)
-        # Hits outside the probed set (e.g. retries of earlier targets)
-        # still count as observations.
-        extra = sorted(hit_set.difference(probed_ints))
-        hit_list = sorted(set(hit_list).union(extra))
+        hi, lo = _sorted_columns(probed)
+        hit_hi, hit_lo = _sorted_columns(hits)
+        keys, hit_keys = fuse(hi, lo), fuse(hit_hi, hit_lo)
+        # Search the (few) hits in the probed rows, not the other way.
+        pos, found = _locate(keys, hit_keys)
+        flags = np.zeros(len(keys), dtype=bool)
+        flags[pos[found]] = True
+        extra = ~found
+        if extra.any():
+            keys, hi, lo, flags = _insert_rows(
+                pos[extra],
+                [
+                    (keys, hit_keys[extra]),
+                    (hi, hit_hi[extra]),
+                    (lo, hit_lo[extra]),
+                    (flags, True),
+                ],
+            )
         before = len(self._keys)
-        self._apply(epoch, hit_list, miss_list)
+        self._apply(epoch, keys, hi, lo, flags)
+        n_hits = int(np.count_nonzero(flags))
         summary = {
-            "hits": len(hit_list),
-            "misses": len(miss_list),
+            "hits": n_hits,
+            "misses": len(keys) - n_hits,
             "new": len(self._keys) - before,
         }
-        if self._sink is not None:
-            self._sink.emit(
-                {
-                    "kind": "observe",
-                    "epoch": epoch,
-                    "hits": [f"{a:x}" for a in hit_list],
-                    "misses": [f"{a:x}" for a in miss_list],
-                }
-            )
+        if self._log is not None:
+            self._log.append(epoch, hi, lo, flags)
             self.events_since_snapshot += 1
         if self._tele.enabled:
-            self._tele.count("hitlist.observed", len(hit_list) + len(miss_list))
+            self._tele.count("hitlist.observed", len(keys))
             self._tele.gauge("hitlist.size", len(self._keys))
         return summary
 
-    def _apply(self, epoch: int, hit_list: list[int], miss_list: list[int]) -> None:
-        if not hit_list and not miss_list:
-            self.latest_epoch = max(self.latest_epoch, epoch)
-            return
-        uhi, ulo = pack(hit_list + miss_list)
-        flags = np.zeros(len(uhi), dtype=np.float64)
-        flags[: len(hit_list)] = 1.0
-        keys = fuse(uhi, ulo)
-        # Updates may repeat an address (hit + miss lists are disjoint,
-        # but defensive dedupe keeps replay robust); keep the hit.
-        order = np.argsort(keys, kind="stable")
-        keys, uhi, ulo, flags = keys[order], uhi[order], ulo[order], flags[order]
-        if len(keys) > 1:
-            distinct = np.empty(len(keys), dtype=bool)
-            distinct[0] = True
-            np.not_equal(keys[1:], keys[:-1], out=distinct[1:])
-            if not distinct.all():
-                group = np.cumsum(distinct) - 1
-                agg = np.zeros(int(group[-1]) + 1, dtype=np.float64)
-                np.maximum.at(agg, group, flags)
-                keys, uhi, ulo = keys[distinct], uhi[distinct], ulo[distinct]
-                flags = agg
-        n = len(self._keys)
-        pos = np.searchsorted(self._keys, keys)
-        found = np.zeros(len(keys), dtype=bool)
-        if n:
-            inside = pos < n
-            found[inside] = self._keys[pos[inside]] == keys[inside]
-        # Known addresses: decay the stored score to `epoch`, add the
-        # outcome, stamp the probe (and the sighting on a hit).
-        idx = pos[found]
-        if len(idx):
-            dt = np.maximum(epoch - self._last_probed[idx], 0)
-            self._score[idx] = (
-                self._score[idx] * self.decay ** dt + flags[found]
-            )
-            self._last_probed[idx] = epoch
-            hit_idx = idx[flags[found] > 0]
-            self._last_seen[hit_idx] = epoch
-        # New addresses: append, then restore sorted order in one pass.
-        fresh = ~found
-        if fresh.any():
-            f_hi, f_lo, f_flags = uhi[fresh], ulo[fresh], flags[fresh]
-            f_seen = np.where(f_flags > 0, epoch, -1).astype(np.int64)
-            self._hi = np.concatenate([self._hi, f_hi])
-            self._lo = np.concatenate([self._lo, f_lo])
-            self._last_seen = np.concatenate([self._last_seen, f_seen])
-            self._last_probed = np.concatenate(
-                [self._last_probed, np.full(len(f_hi), epoch, dtype=np.int64)]
-            )
-            self._score = np.concatenate([self._score, f_flags])
-            self._keys = np.concatenate([self._keys, keys[fresh]])
-            order = np.argsort(self._keys, kind="stable")
-            self._keys = self._keys[order]
-            self._hi = self._hi[order]
-            self._lo = self._lo[order]
-            self._last_seen = self._last_seen[order]
-            self._last_probed = self._last_probed[order]
-            self._score = self._score[order]
+    def _apply(
+        self,
+        epoch: int,
+        keys: np.ndarray,
+        hi: np.ndarray,
+        lo: np.ndarray,
+        flags: np.ndarray,
+    ) -> None:
+        """Fold sorted, distinct rows (fused keys, halves, hit flags) in."""
+        if len(keys):
+            pos, found = _locate(self._keys, keys)
+            outcome = flags.astype(np.float64)
+            # Known addresses: decay the stored score to `epoch`, add the
+            # outcome, stamp the probe (and the sighting on a hit).
+            idx = pos[found]
+            if len(idx):
+                dt = np.maximum(epoch - self._last_probed[idx], 0)
+                self._score[idx] = (
+                    self._score[idx] * self.decay ** dt + outcome[found]
+                )
+                self._last_probed[idx] = epoch
+                self._last_seen[idx[flags[found]]] = epoch
+            # New addresses: merged in at their insertion positions.
+            fresh = ~found
+            if fresh.any():
+                (
+                    self._keys, self._hi, self._lo,
+                    self._last_seen, self._last_probed, self._score,
+                ) = _insert_rows(
+                    pos[fresh],
+                    [
+                        (self._keys, keys[fresh]),
+                        (self._hi, hi[fresh]),
+                        (self._lo, lo[fresh]),
+                        (self._last_seen, np.where(flags[fresh], epoch, -1)),
+                        (self._last_probed, epoch),
+                        (self._score, outcome[fresh]),
+                    ],
+                )
         self.latest_epoch = max(self.latest_epoch, epoch)
 
     # -- queries -------------------------------------------------------
@@ -378,24 +560,26 @@ class LivingHitlist:
     # -- persistence ---------------------------------------------------
 
     def snapshot(self) -> str:
-        """Compact: dump columns to ``.npz`` and mark the event log.
+        """Compact: fsync the log, then dump the columns to ``.npz``.
 
-        The dump is written next to the log via temp-file + atomic
-        rename, then a ``snapshot`` marker is appended; a crash between
-        the two leaves the previous snapshot + full tail, which replays
-        to the identical state.
+        The dump is written next to the log via temp file + fsync +
+        atomic rename, and records the ``log_id`` and how many records
+        it covers.  A crash at any point leaves either the previous
+        dump or the new one, each with the record count it was taken
+        at, so reopening replays exactly the records neither covers.
         """
-        if self.path is None:
+        if self._log is None:
             raise ValueError("snapshot() requires a store opened with a path")
-        snap_name = os.path.basename(self.path) + ".snap.npz"
-        directory = os.path.dirname(self.path) or "."
-        final = os.path.join(directory, snap_name)
+        self._log.sync()
+        final = _snapshot_path(self.path)
         tmp = final + ".tmp"
         with open(tmp, "wb") as handle:
             np.savez(
                 handle,
                 format=_FORMAT,
                 version=_VERSION,
+                log_id=self._log.log_id,
+                records=self._log.records,
                 hi=self._hi,
                 lo=self._lo,
                 last_seen=self._last_seen,
@@ -406,22 +590,13 @@ class LivingHitlist:
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp, final)
-        if self._sink is not None:
-            self._sink.emit(
-                {
-                    "kind": "snapshot",
-                    "epoch": self.latest_epoch,
-                    "file": snap_name,
-                    "count": len(self._keys),
-                }
-            )
         self.events_since_snapshot = 0
         return final
 
     def close(self) -> None:
-        if self._sink is not None:
-            self._sink.close()
-            self._sink = None
+        if self._log is not None:
+            self._log.close()
+            self._log = None
 
     def __enter__(self) -> "LivingHitlist":
         return self

@@ -61,7 +61,9 @@ class JsonlSink(Sink):
 
     The file is opened in append mode and every event is flushed as it
     is written, so a crash mid-run loses at most the event being
-    serialised — everything already emitted survives on disk.  Pass
+    serialised — everything already emitted survives on disk.  A
+    partial last line left by such a crash is cut off before the first
+    new event, so appending never merges an event into it.  Pass
     ``fsync=True`` to additionally fsync each line (durable against
     power loss, at a per-event syscall cost).
     """
@@ -69,6 +71,7 @@ class JsonlSink(Sink):
     def __init__(self, path: str | os.PathLike, *, fsync: bool = False):
         self.path = os.fspath(path)
         self._fsync = fsync
+        _cut_partial_line(self.path)
         self._handle: IO[str] | None = open(
             self.path, "a", encoding="utf-8", newline="\n"
         )
@@ -86,6 +89,26 @@ class JsonlSink(Sink):
         if self._handle is not None:
             self._handle.close()
             self._handle = None
+
+
+def _cut_partial_line(path: str, chunk: int = 1 << 16) -> None:
+    """Truncate a file that does not end in a newline just past its last one."""
+    if not os.path.isfile(path):
+        return
+    with open(path, "r+b") as handle:
+        end = handle.seek(0, os.SEEK_END)
+        stop = end
+        while stop > 0:
+            start = max(0, stop - chunk)
+            handle.seek(start)
+            newline = handle.read(stop - start).rfind(b"\n")
+            if newline >= 0:
+                if start + newline + 1 < end:
+                    handle.truncate(start + newline + 1)
+                return
+            stop = start
+        if end:
+            handle.truncate(0)
 
 
 def read_jsonl(path: str | os.PathLike) -> list[dict]:

@@ -284,6 +284,33 @@ class TestResumeParity:
         assert final.hits == baseline.hits
         assert final.stats == baseline.stats
 
+    def test_resume_after_torn_checkpoint_keeps_new_progress(self, tmp_path):
+        """A resume appends past a torn line, so a second resume sees it."""
+        truth, targets = _world()
+        path = tmp_path / "ckpt.jsonl"
+        sink = JsonlSink(path)
+        with pytest.raises(InjectedWorkerCrash):
+            _scan(
+                truth, targets,
+                checkpoint=ScanCheckpointer(sink, every_batches=1),
+                crash=WorkerCrash(at_batch=4),
+            )
+        sink.close()
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write('{"event": "scan_checkpoint", "round": 0, "next_b')
+        first = load_scan_checkpoint(path)
+        assert first.next_batch == 4
+
+        sink = JsonlSink(path)
+        with pytest.raises(InjectedWorkerCrash):
+            _scan(
+                truth, targets, resume=first,
+                checkpoint=ScanCheckpointer(sink, every_batches=1),
+                crash=WorkerCrash(at_batch=16),
+            )
+        sink.close()
+        assert load_scan_checkpoint(path).next_batch == 16
+
     def test_checkpointing_does_not_change_results(self, tmp_path):
         truth, targets = _world()
         plain = _scan(truth, targets, retries=1)

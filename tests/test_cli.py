@@ -440,7 +440,7 @@ class TestLongitudinalScan:
         return path
 
     def test_epochs_scan_feeds_hitlist_store(self, sim_seeds, tmp_path, capsys):
-        store = tmp_path / "store.jsonl"
+        store = tmp_path / "store.hitlist"
         assert main([
             "scan", str(sim_seeds), "--scale", "0.05",
             "--epochs", "3", "--hitlist", str(store), "--json",
@@ -457,7 +457,7 @@ class TestLongitudinalScan:
     def test_second_invocation_continues_the_timeline(
         self, sim_seeds, tmp_path, capsys
     ):
-        store = tmp_path / "store.jsonl"
+        store = tmp_path / "store.hitlist"
         assert main([
             "scan", str(sim_seeds), "--scale", "0.05",
             "--epochs", "2", "--hitlist", str(store), "--quiet",
@@ -478,7 +478,7 @@ class TestLongitudinalScan:
         assert "epoch" in capsys.readouterr().err
 
     def test_hitlist_inspect_and_export(self, sim_seeds, tmp_path, capsys):
-        store = tmp_path / "store.jsonl"
+        store = tmp_path / "store.hitlist"
         assert main([
             "scan", str(sim_seeds), "--scale", "0.05",
             "--epochs", "2", "--hitlist", str(store), "--quiet",

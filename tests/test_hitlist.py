@@ -60,6 +60,17 @@ class TestRoundTrip:
 # Living hitlist: decaying belief over a churning world.
 # ---------------------------------------------------------------------------
 
+import hashlib
+import json
+import os
+import struct
+import tempfile
+import zlib
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.hitlist import (
     DEFAULT_DECAY,
     DeltaCampaign,
@@ -169,9 +180,13 @@ class TestLivingHitlistBelief:
             LivingHitlist(decay=0.0)
 
 
+class _Killed(Exception):
+    """Stands in for the process dying at an injected point."""
+
+
 class TestLivingHitlistPersistence:
     def test_log_replay_round_trip(self, tmp_path):
-        path = tmp_path / "store.jsonl"
+        path = tmp_path / "store.hitlist"
         store = LivingHitlist(path=path)
         store.observe(0, [10, 11, 12], hits={10, 11})
         store.observe(1, [10, 13], hits={13})
@@ -183,7 +198,7 @@ class TestLivingHitlistPersistence:
         back.close()
 
     def test_snapshot_plus_tail_round_trip(self, tmp_path):
-        path = tmp_path / "store.jsonl"
+        path = tmp_path / "store.hitlist"
         store = LivingHitlist(path=path)
         store.observe(0, [10, 11], hits={10})
         store.snapshot()
@@ -192,32 +207,134 @@ class TestLivingHitlistPersistence:
         store.close()
         back = LivingHitlist.open(path)
         assert back.state_digest() == digest
+        assert back.events_since_snapshot == 1  # only the tail replayed
         back.close()
 
     def test_open_missing_file_bootstraps_empty(self, tmp_path):
-        store = LivingHitlist.open(tmp_path / "fresh.jsonl")
+        store = LivingHitlist.open(tmp_path / "fresh.hitlist")
         assert len(store) == 0
         assert store.latest_epoch == -1
         # ...and is immediately writable.
         store.observe(0, [1], hits={1})
         store.close()
 
+    def test_log_layout(self, tmp_path):
+        path = tmp_path / "store.hitlist"
+        with LivingHitlist(path=path) as store:
+            store.observe(3, [12, 10, 12], hits={12, 99})
+        magic, rest = path.read_bytes().split(b"\n", 1)
+        assert magic == b"repro-hitlist"
+        (length,) = struct.unpack_from("<I", rest)
+        header = json.loads(rest[4 : 4 + length])
+        assert header["format"] == "repro-hitlist" and header["version"] == 2
+        assert header["log_id"]
+        record = rest[4 + length :]
+        epoch, rows, crc = struct.unpack_from("<qQI", record)
+        payload = record[20:]
+        # Sorted, distinct rows; the hit outside the probed set merged in.
+        assert (epoch, rows, len(payload)) == (3, 3, 16 * 3 + 1)
+        assert np.frombuffer(payload[:24], "<u8").tolist() == [0, 0, 0]
+        assert np.frombuffer(payload[24:48], "<u8").tolist() == [10, 12, 99]
+        flags = np.unpackbits(np.frombuffer(payload[48:], np.uint8))
+        assert flags[:3].tolist() == [0, 1, 1]
+        assert crc == zlib.crc32(payload, zlib.crc32(record[:16]))
+
     def test_truncated_tail_tolerated(self, tmp_path):
-        path = tmp_path / "store.jsonl"
+        """Crash sweep: cut the log at every byte inside its last record."""
+        path = tmp_path / "store.hitlist"
+        store = LivingHitlist(path=path)
+        store.observe(0, [10, 11], hits={10})
+        digest = store.state_digest()
+        start = path.stat().st_size
+        store.observe(1, [12, 10], hits={12, 99})
+        store.close()
+        raw = path.read_bytes()
+        for cut in range(start, len(raw)):
+            path.write_bytes(raw[:cut])
+            with LivingHitlist.open(path) as back:
+                assert back.state_digest() == digest
+                back.observe(2, [13], hits={13})
+                expected = back.state_digest()
+            # The torn bytes were cut off, not left behind the new record.
+            assert path.stat().st_size == start + 20 + 16 + 1
+            with LivingHitlist.open(path) as again:
+                assert again.state_digest() == expected
+
+    def test_crash_sweep_after_a_snapshot(self, tmp_path):
+        path = tmp_path / "store.hitlist"
+        store = LivingHitlist(path=path)
+        store.observe(0, [10, 11], hits={10})
+        store.snapshot()
+        store.observe(1, [10, 12], hits={12})
+        digest = store.state_digest()
+        start = path.stat().st_size
+        store.observe(1, [11, 13], hits=set())
+        store.close()
+        raw = path.read_bytes()
+        snap = tmp_path / "store.hitlist.snap.npz"
+        dump = snap.read_bytes()
+        for cut in range(start, len(raw)):
+            path.write_bytes(raw[:cut])
+            snap.write_bytes(dump)
+            with LivingHitlist.open(path) as back:
+                assert back.state_digest() == digest
+                back.observe(2, [13], hits={13})
+                back.snapshot()
+                expected = back.state_digest()
+            with LivingHitlist.open(path) as again:
+                assert again.state_digest() == expected
+
+    @pytest.mark.parametrize("moment", ["temp_write", "before_replace", "after_replace"])
+    def test_kill_around_the_snapshot_dump(self, tmp_path, monkeypatch, moment):
+        """A kill anywhere in snapshot() replays the tail exactly once."""
+        path = tmp_path / "store.hitlist"
+        store = LivingHitlist(path=path)
+        store.observe(0, [10, 11], hits={10})
+        store.snapshot()
+        store.observe(1, [10, 12], hits={10, 12})
+        expected = store.state_digest()
+        real_replace = os.replace
+
+        def die(src, dst):
+            if moment == "temp_write":  # the dump was half written
+                os.truncate(src, os.path.getsize(src) // 2)
+            elif moment == "after_replace":
+                real_replace(src, dst)
+            raise _Killed
+
+        monkeypatch.setattr(os, "replace", die)
+        with pytest.raises(_Killed):
+            store.snapshot()
+        monkeypatch.undo()
+        store.close()
+        with LivingHitlist.open(path) as back:
+            assert back.decayed_scores(1).tolist() == pytest.approx([1.6, 0.0, 1.0])
+            assert back.state_digest() == expected
+            back.observe(2, [10, 14], hits={14})
+            back.snapshot()  # overwrites any leftover temp file
+            final = back.state_digest()
+        with LivingHitlist.open(path) as again:
+            assert again.state_digest() == final
+
+    def test_crc_failure_on_the_last_record_is_a_torn_tail(self, tmp_path):
+        path = tmp_path / "store.hitlist"
         store = LivingHitlist(path=path)
         store.observe(0, [10, 11], hits={10})
         digest = store.state_digest()
         store.observe(1, [12], hits={12})
         store.close()
-        # Chop the final record mid-line, as a crash would.
-        raw = path.read_bytes()
-        path.write_bytes(raw[: raw.index(b"\n") + 10])
-        back = LivingHitlist.open(path)
-        assert back.state_digest() == digest
-        back.close()
+        raw = bytearray(path.read_bytes())
+        raw[-1] ^= 0xFF
+        path.write_bytes(bytes(raw))
+        with LivingHitlist.open(path) as back:
+            assert back.state_digest() == digest
+            back.observe(2, [13], hits={13})
+            expected = back.state_digest()
+        with LivingHitlist.open(path) as again:
+            assert again.state_digest() == expected
 
     def test_reopen_continues_the_timeline(self, tmp_path):
-        path = tmp_path / "store.jsonl"
+        path = tmp_path / "store.hitlist"
         with LivingHitlist(path=path) as store:
             store.observe(0, [10], hits={10})
         with LivingHitlist.open(path) as back:
@@ -225,6 +342,200 @@ class TestLivingHitlistPersistence:
         with LivingHitlist.open(path) as final:
             assert final.latest_epoch == 1
             assert len(final) == 1
+
+
+class TestLivingHitlistRefusals:
+    def test_version_1_log(self, tmp_path):
+        path = tmp_path / "store.jsonl"
+        event = {"kind": "observe", "epoch": 0, "hits": ["a"], "misses": ["b"]}
+        path.write_text(json.dumps(event) + "\n")
+        with pytest.raises(ValueError, match="version-1 .*rebuild the store"):
+            LivingHitlist.open(path)
+
+    def test_corrupt_record_before_the_last(self, tmp_path):
+        path = tmp_path / "store.hitlist"
+        store = LivingHitlist(path=path)
+        store.observe(0, [10, 11], hits={10})
+        end_of_first = path.stat().st_size
+        store.observe(1, [12], hits={12})
+        store.close()
+        raw = bytearray(path.read_bytes())
+        raw[end_of_first - 1] ^= 0xFF
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match="record 0 .*CRC"):
+            LivingHitlist.open(path)
+
+    def test_snapshot_of_another_log(self, tmp_path):
+        mine, other = tmp_path / "mine.hitlist", tmp_path / "other.hitlist"
+        for path in (mine, other):
+            with LivingHitlist(path=path) as store:
+                store.observe(0, [10], hits={10})
+                store.snapshot()
+        os.replace(f"{other}.snap.npz", f"{mine}.snap.npz")
+        with pytest.raises(ValueError, match="not to this log"):
+            LivingHitlist.open(mine)
+
+    def test_snapshot_covering_more_records_than_the_log(self, tmp_path):
+        path = tmp_path / "store.hitlist"
+        store = LivingHitlist(path=path)
+        store.observe(0, [10], hits={10})
+        end_of_first = path.stat().st_size
+        store.observe(1, [11], hits={11})
+        store.snapshot()
+        store.close()
+        os.truncate(path, end_of_first)
+        with pytest.raises(ValueError, match="covers 2 records .* only 1"):
+            LivingHitlist.open(path)
+
+    def test_constructor_on_an_existing_log(self, tmp_path):
+        path = tmp_path / "store.hitlist"
+        with LivingHitlist(path=path) as store:
+            store.observe(0, [10], hits={10})
+        with pytest.raises(ValueError, match="LivingHitlist.open"):
+            LivingHitlist(path=path)
+        with LivingHitlist.open(path) as back:  # the log is untouched
+            assert len(back) == 1
+
+
+class _BoxedReference:
+    """The store's in-memory ingest on boxed ints: the pre-column algorithm.
+
+    ``observe`` partitions Python-int addresses into sorted hit and miss
+    lists; ``_apply`` packs them, argsorts, and appends new rows before
+    re-sorting every column.  The parity test holds the column store to
+    this oracle's ``state_digest`` and summary.
+    """
+
+    def __init__(self, decay=DEFAULT_DECAY):
+        self.decay = decay
+        self.keys = np.empty(0, dtype="S16")
+        self.hi = np.empty(0, dtype=np.uint64)
+        self.lo = np.empty(0, dtype=np.uint64)
+        self.last_seen = np.empty(0, dtype=np.int64)
+        self.last_probed = np.empty(0, dtype=np.int64)
+        self.score = np.empty(0, dtype=np.float64)
+        self.latest_epoch = -1
+
+    def observe(self, epoch, probed, hits):
+        hit_set = {int(a) for a in hits}
+        probed_ints = [int(a) for a in probed]
+        hit_list = sorted({a for a in probed_ints if a in hit_set} | hit_set)
+        miss_list = sorted({a for a in probed_ints if a not in hit_set})
+        before = len(self.keys)
+        self._apply(epoch, hit_list, miss_list)
+        return {
+            "hits": len(hit_list),
+            "misses": len(miss_list),
+            "new": len(self.keys) - before,
+        }
+
+    def _apply(self, epoch, hit_list, miss_list):
+        if not hit_list and not miss_list:
+            self.latest_epoch = max(self.latest_epoch, epoch)
+            return
+        uhi, ulo = pack(hit_list + miss_list)
+        flags = np.zeros(len(uhi), dtype=np.float64)
+        flags[: len(hit_list)] = 1.0
+        keys = fuse(uhi, ulo)
+        order = np.argsort(keys, kind="stable")
+        keys, uhi, ulo, flags = keys[order], uhi[order], ulo[order], flags[order]
+        n = len(self.keys)
+        pos = np.searchsorted(self.keys, keys)
+        found = np.zeros(len(keys), dtype=bool)
+        if n:
+            inside = pos < n
+            found[inside] = self.keys[pos[inside]] == keys[inside]
+        idx = pos[found]
+        if len(idx):
+            dt = np.maximum(epoch - self.last_probed[idx], 0)
+            self.score[idx] = self.score[idx] * self.decay ** dt + flags[found]
+            self.last_probed[idx] = epoch
+            self.last_seen[idx[flags[found] > 0]] = epoch
+        fresh = ~found
+        if fresh.any():
+            f_flags = flags[fresh]
+            f_seen = np.where(f_flags > 0, epoch, -1).astype(np.int64)
+            self.hi = np.concatenate([self.hi, uhi[fresh]])
+            self.lo = np.concatenate([self.lo, ulo[fresh]])
+            self.last_seen = np.concatenate([self.last_seen, f_seen])
+            self.last_probed = np.concatenate(
+                [self.last_probed, np.full(len(f_flags), epoch, dtype=np.int64)]
+            )
+            self.score = np.concatenate([self.score, f_flags])
+            self.keys = np.concatenate([self.keys, keys[fresh]])
+            order = np.argsort(self.keys, kind="stable")
+            self.keys = self.keys[order]
+            self.hi = self.hi[order]
+            self.lo = self.lo[order]
+            self.last_seen = self.last_seen[order]
+            self.last_probed = self.last_probed[order]
+            self.score = self.score[order]
+        self.latest_epoch = max(self.latest_epoch, epoch)
+
+    def state_digest(self):
+        digest = hashlib.sha256()
+        for arr in (self.hi, self.lo, self.last_seen, self.last_probed):
+            digest.update(np.ascontiguousarray(arr).tobytes())
+        digest.update(np.ascontiguousarray(self.score).astype("<f8").tobytes())
+        digest.update(str(self.latest_epoch).encode())
+        return digest.hexdigest()
+
+
+#: Addresses at the edges of both halves, so rows share and split ``hi``.
+_UNIVERSE = sorted(
+    (h << 64) | l
+    for h in (0, 1, 0x20010DB8 << 32, (1 << 64) - 1)
+    for l in (0, 1, 0xFFFF, 1 << 63, (1 << 64) - 1)
+)
+_FORMS = ("ints", "set", "columns")
+_STEP = st.one_of(
+    st.just(("snapshot",)),
+    st.tuples(
+        st.just("observe"),
+        st.integers(0, 2),  # epoch advance; 0 repeats the epoch
+        st.lists(st.sampled_from(_UNIVERSE), max_size=12),  # unsorted, dups
+        st.lists(st.sampled_from(_UNIVERSE), max_size=6),  # may miss probed
+        st.sampled_from(_FORMS),
+        st.sampled_from(_FORMS),
+    ),
+)
+
+
+def _as_form(addrs, form):
+    if form == "set":
+        return set(addrs)
+    if form == "columns":
+        return pack(addrs)  # unsorted, duplicates kept
+    return list(addrs)
+
+
+class TestColumnStoreParity:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(_STEP, max_size=10))
+    def test_matches_boxed_reference(self, steps):
+        ref = _BoxedReference()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "store.hitlist")
+            store = LivingHitlist(path=path)
+            epoch = 0
+            for step in steps:
+                if step[0] == "snapshot":
+                    store.snapshot()
+                    continue
+                _, advance, probed, hits, probed_form, hits_form = step
+                epoch += advance
+                summary = store.observe(
+                    epoch, _as_form(probed, probed_form), _as_form(hits, hits_form)
+                )
+                assert summary == ref.observe(epoch, probed, hits)
+                assert store.state_digest() == ref.state_digest()
+            store.close()
+            with LivingHitlist.open(path) as back:  # last snapshot + tail
+                assert back.state_digest() == ref.state_digest()
+            if os.path.exists(path + ".snap.npz"):
+                os.remove(path + ".snap.npz")
+            with LivingHitlist.open(path) as back:  # the whole log replayed
+                assert back.state_digest() == ref.state_digest()
 
 
 class TestDeltaCampaign:

@@ -267,6 +267,23 @@ class TestSinks:
             handle.write('{"event": "c", "trunc')  # killed mid-write
         assert [e["event"] for e in read_jsonl(path)] == ["a", "b"]
 
+    def test_reopen_cuts_a_torn_line_before_appending(self, tmp_path):
+        path = tmp_path / "crash.jsonl"
+        with JsonlSink(path) as sink:
+            sink.emit({"event": "a"})
+            sink.emit({"event": "b"})
+        raw = path.read_bytes()
+        for cut in range(raw.index(b"\n") + 1, len(raw)):  # inside "b"
+            path.write_bytes(raw[:cut])
+            with JsonlSink(path) as sink:
+                sink.emit({"event": "c"})
+                sink.emit({"event": "d"})
+            assert [e["event"] for e in read_jsonl(path)] == ["a", "c", "d"]
+        path.write_bytes(raw[:5])  # inside the first line: nothing survives
+        with JsonlSink(path) as sink:
+            sink.emit({"event": "c"})
+        assert [e["event"] for e in read_jsonl(path)] == ["c"]
+
 
 class TestSpans:
     def test_nested_paths_and_attribution(self):
