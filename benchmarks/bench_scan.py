@@ -7,7 +7,9 @@ vectorised lookups), verifying on every tier that both produce
 identical hits *and* identical ``ScanStats`` — the parity contract the
 engine promises for a fixed ``rng_seed``.  A lossy tier exercises the
 order-independent loss PRF, and a multi-worker run checks that
-shared-memory process sharding reproduces the reference hit set.
+shared-memory process sharding reproduces the reference hit set.  A
+parity-only case scans a blacklist whose prefixes nest (/128s inside a
+/64 inside a /56) through all three paths.
 Medians and speedups land in ``benchmarks/results/BENCH_scan.json``
 (see docs/performance.md for how to read the tiers).
 
@@ -26,6 +28,7 @@ import json
 import pathlib
 import statistics
 import sys
+from collections import Counter
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO_ROOT / "src"))
@@ -73,6 +76,21 @@ def make_blacklist(pool: list[int]) -> Blacklist:
     for target in pool[:: max(1, len(pool) // 50)]:
         blacklist.add(Prefix(int(target), 128))
     return blacklist
+
+
+def make_nested_blacklist(pool: list[int]) -> tuple[Blacklist, int]:
+    """:func:`make_blacklist` plus a /64 and a /56 that nest its /128s.
+
+    The /64 is the one holding the most of the /128 entries, and the
+    /56 holds that /64.  Returns the blacklist and how many /128s the
+    /64 holds.
+    """
+    blacklist = make_blacklist(pool)
+    per_64 = Counter(prefix.network >> 64 for prefix in blacklist.prefixes())
+    busiest, nested = max(per_64.items(), key=lambda item: (item[1], item[0]))
+    blacklist.add(Prefix(busiest << 64, 64))
+    blacklist.add(Prefix((busiest >> 8) << 72, 56))
+    return blacklist, nested
 
 
 def bench_tier(
@@ -136,6 +154,33 @@ def check_workers(
         "arrays_pool_s": round(arrays_s, 4),
         "identical": (
             pooled.hits == reference.hits and pooled.stats == reference.stats
+        ),
+    }
+
+
+def check_nested_blacklist(truth, pool: list[int], n: int) -> dict:
+    """Reference, array and ``workers=2`` scans under a nested blacklist."""
+    blacklist, nested = make_nested_blacklist(pool)
+    targets = pool[:n]
+    results = [
+        Scanner(
+            truth, blacklist=blacklist, loss_rate=0.1, rng_seed=RNG_SEED,
+            config=config,
+        ).scan(targets)
+        for config in (
+            ScanConfig(use_batched=False), ScanConfig(), ScanConfig(workers=2)
+        )
+    ]
+    reference = results[0]
+    return {
+        "targets": len(targets),
+        "blacklist_prefixes": len(blacklist),
+        "nested_128s_in_64": nested,
+        "blacklisted": reference.stats.blacklisted,
+        "hits": len(reference.hits),
+        "identical": all(
+            r.hits == reference.hits and r.stats == reference.stats
+            for r in results[1:]
         ),
     }
 
@@ -217,6 +262,14 @@ def main(argv: list[str] | None = None) -> int:
         f"arrays_pool={workers['arrays_pool_s']:.3f}s  "
         f"identical={workers['identical']}"
     )
+    nested = check_nested_blacklist(truth, pool, tiers[-1])
+    telemetry.event("progress", {"stage": "nested_blacklist_check", **nested})
+    print(
+        f"nested blacklist  targets={nested['targets']}  "
+        f"prefixes={nested['blacklist_prefixes']}  "
+        f"blacklisted={nested['blacklisted']}  hits={nested['hits']}  "
+        f"identical={nested['identical']}"
+    )
     telemetry.close()
 
     payload = {
@@ -228,11 +281,16 @@ def main(argv: list[str] | None = None) -> int:
         "quick": args.quick,
         "tiers": rows,
         "workers_check": workers,
+        "nested_blacklist_check": nested,
     }
     args.out.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
     print(f"wrote {args.out}")
 
-    if not all(row["identical"] for row in rows) or not workers["identical"]:
+    if (
+        not all(row["identical"] for row in rows)
+        or not workers["identical"]
+        or not nested["identical"]
+    ):
         print("DIVERGENCE: batched scan output differs from reference")
         return 1
     if args.min_array_speedup is not None:

@@ -9,14 +9,15 @@ every scan-path membership question reduces to:
 
 :class:`FrozenKeySet`
     A frozen host set as a *sorted* array of 16-byte big-endian keys.
-    Membership is one vectorised ``np.searchsorted`` (plus an equality
-    check) instead of one Python set probe per address.
+    Membership reads one bucket of a hash directory per address and
+    confirms it against the columns, instead of one Python set probe
+    per address.
 
 :class:`PrefixMaskTable`
     A frozen prefix set (blacklist entries, aliased regions) as one
-    ``FrozenKeySet`` of masked networks per prefix length.  A batch
-    lookup is "mask the columns, search the table" per length —
-    vectorised prefix-mask compares instead of per-address dict walks.
+    sorted table of disjoint 128-bit intervals.  A batch lookup is one
+    search of that table, however many prefix lengths the set holds,
+    instead of per-address dict walks.
 
 The 16-byte key encoding (:func:`fuse`) views the two big-endian
 ``uint64`` columns as numpy ``S16`` byte strings: byte-wise
@@ -44,6 +45,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from .address import IPv6Addr
 
 _M64 = (1 << 64) - 1
+_ALL_ONES = np.uint64(_M64)
 
 #: Number of bits in one column.
 COLUMN_BITS = 64
@@ -63,10 +65,10 @@ def hash_columns(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
     """64-bit mixed hash of address columns (membership acceleration).
 
     One hash per address, chaining both halves through splitmix64.
-    :meth:`FrozenKeySet.member` sorts its entries by this hash and
-    binary-searches uint64 hashes instead of ``S16`` byte strings —
-    roughly twice as fast per probe — then confirms candidates by
-    comparing the actual columns, so lookups stay exact.
+    :meth:`FrozenKeySet.member` buckets its entries by this hash's top
+    bits, so a query reads one bucket instead of searching the table,
+    then confirms its candidate against the actual columns, so lookups
+    stay exact.
     """
     return _mix64_np(hi ^ _mix64_np(lo ^ _HASH_SALT))
 
@@ -307,20 +309,19 @@ class FrozenKeySet:
     """An immutable address set with vectorised membership tests.
 
     Holds the member addresses as a sorted, deduplicated ``S16`` key
-    array; :meth:`member_keys` answers a whole batch with one
-    ``searchsorted``.  The backing array is a plain contiguous ndarray,
-    so a frozen set round-trips through shared memory unchanged (the
-    hash acceleration below is rebuilt lazily per process and never
-    shipped).
+    array.  :meth:`member` answers a batch through a bucket directory
+    over the entries' :func:`hash_columns` hashes, built lazily per
+    process and never shipped, so a frozen set round-trips through
+    shared memory as its plain contiguous key array.
     """
 
-    __slots__ = ("keys", "_hash_tables")
+    __slots__ = ("keys", "_directory")
 
     def __init__(self, keys: np.ndarray):
         self.keys = keys
-        # None = unbuilt; () = hash collision, use the S16 path;
-        # else (sorted hashes, entry hi, entry lo) aligned by hash.
-        self._hash_tables: tuple | None = None
+        # None = unbuilt; () = hash collision, use the S16 path; else
+        # (shift, bucket starts, entry hashes, entry hi, entry lo).
+        self._directory: tuple | None = None
 
     @classmethod
     def from_ints(cls, values: Iterable[int]) -> "FrozenKeySet":
@@ -342,53 +343,68 @@ class FrozenKeySet:
         return member_sorted(self.keys, keys)
 
     def _hashed(self) -> tuple:
-        """Hash-sorted entry tables, built lazily (see ``hash_columns``).
+        """The bucket directory over entry hashes, built lazily.
+
+        The entries are sorted by hash and bucketed by the hash's top
+        ``bits``, with at least two buckets per entry.  ``starts[b]`` is
+        the first entry whose bucket is ``b`` or later, so an empty
+        bucket points at an entry hashing higher than any query that
+        lands in it.  One sentinel row (the largest hash, a copy of the
+        last entry's columns) ends the entry arrays, so walks never run
+        off them.
 
         Returns ``()`` — meaning "use the exact S16 path" — if any two
-        distinct entries share a hash: with duplicate hashes a single
-        ``searchsorted`` position cannot confirm both, so the
-        acceleration would produce false negatives.  (With 64-bit mixed
-        hashes this is astronomically unlikely, but exactness here is a
-        parity guarantee, not a probabilistic one.)
+        distinct entries share a hash: a walk stops at the first entry
+        of a hash, so it could confirm only one of them.  (With 64-bit
+        mixed hashes this is astronomically unlikely, but exactness here
+        is a parity guarantee, not a probabilistic one.)
         """
-        tables = self._hash_tables
+        tables = self._directory
         if tables is None:
             hi, lo = unfuse(self.keys)
             hashes = hash_columns(hi, lo)
-            order = np.argsort(hashes, kind="stable")
+            order = np.argsort(hashes)
             hashes = hashes[order]
             if len(hashes) > 1 and bool((hashes[1:] == hashes[:-1]).any()):
                 tables = ()
             else:
-                tables = (hashes, hi[order], lo[order])
-            self._hash_tables = tables
+                bits = (2 * len(hashes) - 1).bit_length()
+                shift = np.uint64(64 - bits)
+                buckets = np.arange(1 << bits, dtype=np.uint64)
+                hi, lo = hi[order], lo[order]
+                tables = (
+                    shift,
+                    np.searchsorted(hashes >> shift, buckets),
+                    np.append(hashes, _ALL_ONES),
+                    np.append(hi, hi[-1]),
+                    np.append(lo, lo[-1]),
+                )
+            self._directory = tables
         return tables
 
-    def member(
-        self,
-        hi: np.ndarray,
-        lo: np.ndarray,
-        hashes: np.ndarray | None = None,
-    ) -> np.ndarray:
+    def member(self, hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
         """Boolean membership flags for hi/lo query columns.
 
-        ``hashes`` may carry precomputed ``hash_columns(hi, lo)`` so
-        callers probing several tables hash each batch only once.  The
-        position the hash search finds is confirmed against the actual
-        columns, so the verdict is exact: a pair that compares equal at
-        the found position *is* in the table, and a member pair always
-        lands on its own entry (entry hashes are unique here).
+        Each query starts at its bucket's first entry and steps on while
+        the entry hashes lower than the query; only the rows still
+        walking are touched at each step, and buckets hold a handful of
+        entries at most.  The walk ends on the first entry hashing at
+        least as high as the query, which is compared against the
+        query's columns, so the verdict is exact: entry hashes are
+        unique here, so a member always ends on its own entry.
         """
         if not len(self.keys) or not len(hi):
             return np.zeros(len(hi), dtype=bool)
         tables = self._hashed()
-        if not tables:  # pragma: no cover - needs a 64-bit hash collision
+        if not tables:
             return self.member_keys(fuse(hi, lo))
-        entry_hash, entry_hi, entry_lo = tables
-        if hashes is None:
-            hashes = hash_columns(hi, lo)
-        pos = np.searchsorted(entry_hash, hashes)
-        pos[pos == len(entry_hash)] = 0
+        shift, starts, entry_hash, entry_hi, entry_lo = tables
+        hashes = hash_columns(hi, lo)
+        pos = starts[hashes >> shift]
+        walking = np.flatnonzero(entry_hash[pos] < hashes)
+        while len(walking):
+            pos[walking] += 1
+            walking = walking[entry_hash[pos[walking]] < hashes[walking]]
         return (entry_hi[pos] == hi) & (entry_lo[pos] == lo)
 
 
@@ -400,72 +416,81 @@ def mask_columns(length: int) -> tuple[np.uint64, np.uint64]:
     return np.uint64(mask >> 64), np.uint64(mask & _M64)
 
 
+def _union_bounds(
+    start_hi: np.ndarray,
+    start_lo: np.ndarray,
+    end_hi: np.ndarray,
+    end_lo: np.ndarray,
+) -> np.ndarray:
+    """Sorted ``S16`` boundaries of the union of inclusive 128-bit intervals.
+
+    A depth sweep: each interval opens at its start and closes one past
+    its end (an interval ending at the last address never closes).
+    With opens sorted before closes at equal addresses, the union's
+    boundaries are the opens that lift the depth from zero and the
+    closes that bring it back, so nested intervals leave no boundary
+    and touching ones merge.
+    """
+    stop_lo = end_lo + np.uint64(1)
+    stop_hi = end_hi + (stop_lo == 0).astype(np.uint64)
+    closes = (end_hi != _ALL_ONES) | (end_lo != _ALL_ONES)
+    hi = np.concatenate((start_hi, stop_hi[closes]))
+    lo = np.concatenate((start_lo, stop_lo[closes]))
+    step = np.ones(len(hi), dtype=np.int64)
+    step[len(start_hi):] = -1
+    order = np.lexsort((-step, lo, hi))
+    step = step[order]
+    depth = np.cumsum(step)
+    edge = order[(depth == 0) | ((step == 1) & (depth == 1))]
+    return fuse(hi[edge], lo[edge])
+
+
 class PrefixMaskTable:
     """A frozen prefix set answering "does any prefix contain addr?".
 
-    One ``(hi mask, lo mask, FrozenKeySet of networks)`` entry per
-    distinct prefix length, checked shortest-length first (matching the
-    scalar walk order in :class:`~repro.scanner.blacklist.Blacklist`
-    and :class:`~repro.simnet.aliasing.AliasedRegionSet`).  Already-
-    matched rows are skipped in later length passes.
+    Two prefixes either nest or are disjoint, so the set covers exactly
+    its maximal prefixes: sorted, disjoint 128-bit intervals.  The table
+    keeps them as one ascending ``S16`` array of boundaries, each
+    interval's first address followed by the address just past its
+    last (none for an interval reaching the last address), so an
+    address lies inside iff an odd number of boundaries is at or below
+    it.  A batch lookup is one search of that array, however many
+    prefix lengths the set holds.
     """
 
-    __slots__ = ("entries",)
+    __slots__ = ("bounds", "_bounds_hi")
 
-    def __init__(self, entries: list[tuple[int, FrozenKeySet]]):
-        self.entries = [
-            (length, *mask_columns(length), keys) for length, keys in entries
-        ]
+    def __init__(self, bounds: np.ndarray):
+        self.bounds = bounds
+        self._bounds_hi = unfuse(bounds)[0]
 
     @classmethod
     def from_networks(
         cls, networks_by_length: dict[int, Iterable[int]]
     ) -> "PrefixMaskTable":
-        return cls(
-            [
-                (length, FrozenKeySet.from_ints(networks_by_length[length]))
-                for length in sorted(networks_by_length)
-            ]
-        )
+        """Build from ``{length: /length network ints}`` in one sweep."""
+        columns: list[tuple[np.ndarray, ...]] = []
+        for length, networks in networks_by_length.items():
+            hi, lo = pack(list(networks))
+            mask_hi, mask_lo = mask_columns(length)
+            columns.append((hi, lo, hi | ~mask_hi, lo | ~mask_lo))
+        if not columns:
+            return cls(fuse(*pack([])))
+        return cls(_union_bounds(*(np.concatenate(c) for c in zip(*columns))))
 
-    def __len__(self) -> int:
-        return sum(len(keys) for _, _, _, keys in self.entries)
+    def match_any(self, hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
+        """True where any prefix of the set contains the address.
 
-    def match_any(
-        self,
-        hi: np.ndarray,
-        lo: np.ndarray,
-        hashes: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """True where any table prefix contains the address.
-
-        ``hashes`` may carry the batch's ``hash_columns(hi, lo)``;
-        ``/128`` entries (identity mask) then probe on them directly
-        instead of re-masking and re-hashing the columns.  The first
-        length pass writes its flags wholesale — no all-true boolean
-        indexing — so single-length tables cost one membership test.
+        Counts the boundaries at or below each address.  The high column
+        settles every address whose /64 holds no boundary; only the
+        addresses sharing a /64 with a boundary compare 16-byte keys.
         """
-        flags: np.ndarray | None = None
-        for length, mask_hi, mask_lo, table in self.entries:
-            exact = hashes if length == 128 and hashes is not None else None
-            if flags is None:
-                if exact is not None:
-                    flags = table.member(hi, lo, hashes=exact)
-                else:
-                    flags = table.member(hi & mask_hi, lo & mask_lo)
-                continue
-            pending = ~flags
-            if not pending.any():
-                break
-            sub_hi, sub_lo = hi[pending], lo[pending]
-            if exact is not None:
-                flags[pending] = table.member(
-                    sub_hi, sub_lo, hashes=exact[pending]
-                )
-            else:
-                flags[pending] = table.member(
-                    sub_hi & mask_hi, sub_lo & mask_lo
-                )
-        if flags is None:
-            flags = np.zeros(len(hi), dtype=bool)
-        return flags
+        if not len(self.bounds) or not len(hi):
+            return np.zeros(len(hi), dtype=bool)
+        below = np.searchsorted(self._bounds_hi, hi)
+        tied = np.flatnonzero(self._bounds_hi.take(below, mode="clip") == hi)
+        if len(tied):
+            below[tied] = np.searchsorted(
+                self.bounds, fuse(hi[tied], lo[tied]), side="right"
+            )
+        return (below & 1).astype(bool)

@@ -32,12 +32,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..ipv6.addrplane import (
-    FrozenKeySet,
-    PrefixMaskTable,
-    hash_columns,
-    unpack,
-)
+from ..ipv6.addrplane import FrozenKeySet, PrefixMaskTable, unpack
 from ..simnet.ground_truth import ICMPV6, GroundTruth
 from .blacklist import Blacklist
 from .schedule import CyclicPermutation, _mix64_np
@@ -179,8 +174,6 @@ class ScanPlane:
             "loss_rate": self.loss_rate,
             "port": self.port,
             "fault": self.fault,
-            "bl_lengths": [],
-            "alias_lengths": [],
             "hosts": False,
             "world_version": self.world_version,
         }
@@ -191,11 +184,8 @@ class ScanPlane:
             ("bl", self.blacklist_table),
             ("alias", self.alias_table),
         ):
-            if table is None:
-                continue
-            for length, _, _, keys in table.entries:
-                arrays[f"{label}_{length}"] = keys.keys
-                meta[f"{label}_lengths"].append(length)
+            if table is not None:
+                arrays[f"{label}_bounds"] = table.bounds
         return arrays, meta
 
     @classmethod
@@ -203,15 +193,8 @@ class ScanPlane:
         """Rebuild a plane from shared-memory views (worker side)."""
 
         def table(label: str) -> PrefixMaskTable | None:
-            lengths = meta[f"{label}_lengths"]
-            if not lengths:
-                return None
-            return PrefixMaskTable(
-                [
-                    (length, FrozenKeySet(arrays[f"{label}_{length}"]))
-                    for length in lengths
-                ]
-            )
+            bounds = arrays.get(f"{label}_bounds")
+            return None if bounds is None else PrefixMaskTable(bounds)
 
         host_keys = (
             FrozenKeySet(arrays["hosts"])
@@ -277,18 +260,15 @@ class ScanPlane:
 
         Same accounting as one round-0 step of the engine's reference
         scan; returns the batch's responsive addresses (the checkpoint
-        delta) in probe order.  The batch is hashed once and the hashes are
-        reused by every exact-membership stage (``/128`` blacklist
-        entries, the host table).
+        delta) in probe order.
         """
-        hashes = hash_columns(bhi, blo)
         if self.blacklist_table is not None:
-            blocked = self.blacklist_table.match_any(bhi, blo, hashes=hashes)
+            blocked = self.blacklist_table.match_any(bhi, blo)
             count = int(blocked.sum())
             if count:
                 stats.blacklisted += count
                 keep = ~blocked
-                bhi, blo, hashes = bhi[keep], blo[keep], hashes[keep]
+                bhi, blo = bhi[keep], blo[keep]
         stats.probes_sent += len(bhi)
         if self.loss_rate:
             lost = loss_prf_arr(loss_key, bhi, blo) < self.loss_rate
@@ -296,8 +276,8 @@ class ScanPlane:
             if count:
                 stats.dropped += count
                 keep = ~lost
-                bhi, blo, hashes = bhi[keep], blo[keep], hashes[keep]
-        responded = self._responsive(bhi, blo, attempt=0, hashes=hashes)
+                bhi, blo = bhi[keep], blo[keep]
+        responded = self._responsive(bhi, blo, attempt=0)
         responsive = unpack(bhi[responded], blo[responded])
         stats.responses += len(responsive)
         hits.update(responsive)
@@ -358,11 +338,7 @@ class ScanPlane:
         return np.concatenate(keep_hi), np.concatenate(keep_lo)
 
     def _responsive(
-        self,
-        bhi: np.ndarray,
-        blo: np.ndarray,
-        attempt: int,
-        hashes: np.ndarray | None = None,
+        self, bhi: np.ndarray, blo: np.ndarray, attempt: int
     ) -> np.ndarray:
         """Would each probe get a response?  (Fault layer, then truth.)"""
         if self.fault is not None:
@@ -370,27 +346,12 @@ class ScanPlane:
             flags = np.zeros(len(bhi), dtype=bool)
             live = ~dropped
             if live.any():
-                flags[live] = self._base_responsive(
-                    bhi[live],
-                    blo[live],
-                    hashes[live] if hashes is not None else None,
-                )
+                flags[live] = self._base_responsive(bhi[live], blo[live])
             return flags
-        return self._base_responsive(bhi, blo, hashes)
+        return self._base_responsive(bhi, blo)
 
-    def _base_responsive(
-        self,
-        bhi: np.ndarray,
-        blo: np.ndarray,
-        hashes: np.ndarray | None = None,
-    ) -> np.ndarray:
-        if hashes is None:
-            hashes = hash_columns(bhi, blo)
-        flags = self.host_keys.member(bhi, blo, hashes=hashes)
+    def _base_responsive(self, bhi: np.ndarray, blo: np.ndarray) -> np.ndarray:
+        flags = self.host_keys.member(bhi, blo)
         if self.alias_table is not None:
-            miss = ~flags
-            if miss.any():
-                flags[miss] = self.alias_table.match_any(
-                    bhi[miss], blo[miss], hashes=hashes[miss]
-                )
+            flags |= self.alias_table.match_any(bhi, blo)
         return flags

@@ -99,8 +99,8 @@ class BgpTable:
         """:meth:`origin_asn` over address columns; -1 where unrouted.
 
         Masks the still-unmatched rows to each route length, longest
-        first, and searches that length's sorted network keys, in the
-        pattern of :class:`~repro.ipv6.addrplane.PrefixMaskTable`.
+        first, and searches that length's sorted network keys; the
+        first length that matches gives the longest-prefix route.
         """
         asn = np.full(len(hi), -1, dtype=np.int64)
         pending = np.arange(len(hi))

@@ -228,19 +228,16 @@ class GroundTruth:
     ) -> "np.ndarray":
         """Array-native :meth:`responsive_many` over hi/lo uint64 columns.
 
-        Same verdicts as the scalar batch: frozen-host membership via one
-        ``searchsorted``, aliased-region fallthrough only for the misses.
+        Same verdicts as the scalar batch: one pass of the frozen host
+        set's bucket directory, or-ed with one search of the aliased
+        regions' interval table.
         """
         flags = self.frozen_hosts(port).member(hi, lo)
         if self.aliased:
-            miss = ~flags
-            if miss.any():
-                mhi, mlo = hi[miss], lo[miss]
-                if port == ICMPV6:
-                    found = self.aliased.contains_arr(mhi, mlo)
-                else:
-                    found = self.aliased.responds_arr(mhi, mlo, port)
-                flags[miss] = found
+            if port == ICMPV6:
+                flags |= self.aliased.contains_arr(hi, lo)
+            else:
+                flags |= self.aliased.responds_arr(hi, lo, port)
         return flags
 
     def is_aliased(self, addr: int, port: int = 80) -> bool:

@@ -27,27 +27,28 @@ from repro.faults import (
     WorkerCrash,
     compose,
 )
+from repro.ipv6 import addrplane
 from repro.ipv6.addrplane import (
     FrozenKeySet,
     PrefixMaskTable,
     fuse_ints,
-    hash_columns,
     join_int,
     pack,
     pack_addrs,
     split_int,
+    unfuse,
     unpack,
     unpack_addrs,
 )
 from repro.ipv6.address import IPv6Addr
-from repro.ipv6.prefix import Prefix
+from repro.ipv6.prefix import Prefix, host_mask, network_mask
 from repro.scanner.blacklist import Blacklist
 from repro.scanner.checkpoint import ScanCheckpointer
 from repro.scanner.engine import ScanConfig, Scanner, _loss_prf
 from repro.scanner.plane import ScanPlane, loss_prf_arr
 from repro.scanner.shm import SEGMENT_PREFIX, SharedArrays
 from repro.simnet.aliasing import AliasedRegionSet
-from repro.simnet.ground_truth import GroundTruth
+from repro.simnet.ground_truth import ICMPV6, GroundTruth
 from repro.telemetry import JsonlSink, Telemetry
 
 addrs_128 = st.integers(min_value=0, max_value=(1 << 128) - 1)
@@ -110,6 +111,20 @@ class TestRoundTrips:
         assert [values[i] for i in by_keys] == [values[i] for i in by_ints]
 
 
+def _check_members(table: FrozenKeySet, members: list[int]) -> None:
+    """``table.member`` agrees with a Python set over members, their
+    neighbours and :data:`CORNERS`."""
+    member_set = set(members)
+    queries = [
+        q
+        for m in members
+        for q in (m - 1, m, m + 1)
+        if 0 <= q < 1 << 128
+    ] + CORNERS
+    expected = [q in member_set for q in queries]
+    assert table.member(*pack(queries)).tolist() == expected
+
+
 class TestFrozenKeySet:
     @settings(max_examples=30)
     @given(
@@ -123,15 +138,15 @@ class TestFrozenKeySet:
         hi, lo = pack(queries)
         expected = [q in member_set for q in queries]
         assert table.member(hi, lo).tolist() == expected
-        # the S16 path and the hash-accelerated path must agree
+        # the S16 path and the bucket directory must agree
         assert table.member_keys(fuse_ints(queries)).tolist() == expected
+        _check_members(table, members)
 
-    def test_precomputed_hashes_path(self):
+    def test_corner_members(self):
         members = [0, 1 << 64, (1 << 128) - 1]
         table = FrozenKeySet.from_ints(members)
         hi, lo = pack(members + [5, 1 << 90])
-        hashes = hash_columns(hi, lo)
-        assert table.member(hi, lo, hashes=hashes).tolist() == [
+        assert table.member(hi, lo).tolist() == [
             True, True, True, False, False,
         ]
 
@@ -141,31 +156,129 @@ class TestFrozenKeySet:
         assert not table.member(hi, lo).any()
         assert len(table) == 0
 
+    @pytest.mark.parametrize("member", CORNERS + [0x20010DB8 << 96])
+    def test_one_entry_set(self, member):
+        _check_members(FrozenKeySet.from_ints([member]), [member])
+
+    def test_one_big_bucket(self, monkeypatch):
+        """Distinct entry hashes sharing their top bits fill one bucket."""
+        monkeypatch.setattr(
+            addrplane, "hash_columns", lambda hi, lo: lo & np.uint64(0xFFFF_FFFF)
+        )
+        rng = random.Random(5)
+        lows = rng.sample(range(1 << 32), 300)
+        members = [(rng.getrandbits(96) << 32) | low for low in lows]
+        table = FrozenKeySet.from_ints(members)
+        starts = table._hashed()[1]
+        assert starts[0] == 0 and starts[1] == len(members)
+        _check_members(table, members)
+
+    def test_hash_collision_falls_back_to_keys(self, monkeypatch):
+        monkeypatch.setattr(
+            addrplane, "hash_columns", lambda hi, lo: hi & np.uint64(0xF)
+        )
+        rng = random.Random(6)
+        members = [rng.getrandbits(128) for _ in range(64)]
+        table = FrozenKeySet.from_ints(members)
+        assert table._hashed() == ()
+        _check_members(table, members)
+
+
+#: Prefix lengths every interval-table test draws besides random ones:
+#: the whole space, single addresses, and both sides of the hi/lo
+#: column boundary.
+EDGE_LENGTHS = [0, 63, 64, 65, 128]
+
+
+def _draw_prefixes(data, rng: random.Random) -> list[Prefix]:
+    """Random prefixes plus nested and repeated ones.
+
+    Each drawn prefix brings children (random sub-prefixes and its own
+    network at a longer length), and a few prefixes are drawn twice.
+    """
+    lengths = st.one_of(st.sampled_from(EDGE_LENGTHS), st.integers(0, 128))
+    prefixes = []
+    for length in data.draw(st.lists(lengths, min_size=1, max_size=4)):
+        parent = Prefix(rng.getrandbits(128) & network_mask(length), length)
+        prefixes.append(parent)
+        for child in data.draw(st.lists(st.integers(length, 128), max_size=3)):
+            inside = parent.network | (rng.getrandbits(128) & host_mask(length))
+            prefixes.append(Prefix(inside & network_mask(child), child))
+            prefixes.append(Prefix(parent.network, child))
+    prefixes += data.draw(st.lists(st.sampled_from(prefixes), max_size=3))
+    return prefixes
+
+
+def _probe_addresses(prefixes: list[Prefix], rng: random.Random) -> list[int]:
+    """Each prefix's first and last address and their outside neighbours,
+    random addresses, and :data:`CORNERS`."""
+    edges = []
+    for prefix in prefixes:
+        last = prefix.network | host_mask(prefix.length)
+        edges += [prefix.network - 1, prefix.network, last, last + 1]
+    queries = [q for q in edges if 0 <= q < 1 << 128]
+    return queries + [rng.getrandbits(128) for _ in range(30)] + CORNERS
+
+
+def _rebuilt(plane: ScanPlane) -> ScanPlane:
+    arrays, meta = plane.shared_payload()
+    return ScanPlane.from_shared(meta, arrays)
+
 
 class TestPrefixMaskTable:
-    @settings(max_examples=20)
+    @settings(max_examples=40)
     @given(st.data())
     def test_matches_scalar_blacklist(self, data):
-        lengths = data.draw(
-            st.lists(st.integers(0, 128), min_size=1, max_size=4, unique=True)
-        )
         rng = random.Random(data.draw(st.integers(0, 2**32)))
-        blacklist = Blacklist()
-        for length in lengths:
-            mask = ((1 << length) - 1) << (128 - length)
-            for _ in range(3):
-                blacklist.add(Prefix(rng.getrandbits(128) & mask, length))
-        queries = [rng.getrandbits(128) for _ in range(50)] + CORNERS
+        blacklist = Blacklist(_draw_prefixes(data, rng))
+        queries = _probe_addresses(list(blacklist.prefixes()), rng)
         hi, lo = pack(queries)
-        table = blacklist.frozen_table()
         expected = [q in blacklist for q in queries]
-        assert table.match_any(hi, lo).tolist() == expected
-        hashes = hash_columns(hi, lo)
-        assert table.match_any(hi, lo, hashes=hashes).tolist() == expected
+        assert blacklist.frozen_table().match_any(hi, lo).tolist() == expected
+        assert blacklist.contains_arr(hi, lo).tolist() == expected
+        truth = GroundTruth({80: set()}, AliasedRegionSet())
+        plane = _rebuilt(ScanPlane.build(truth, blacklist, (hi, lo), 80, 0.0))
+        assert plane.blacklist_table.match_any(hi, lo).tolist() == expected
 
-    def test_from_networks_sorted_shortest_first(self):
-        table = PrefixMaskTable.from_networks({64: [0], 32: [0], 128: [1]})
-        assert [entry[0] for entry in table.entries] == [32, 64, 128]
+    @settings(max_examples=40)
+    @given(st.data())
+    def test_aliased_regions_match_scalar(self, data):
+        rng = random.Random(data.draw(st.integers(0, 2**32)))
+        regions = AliasedRegionSet()
+        for prefix in dict.fromkeys(_draw_prefixes(data, rng)):
+            ports = data.draw(st.sampled_from([(80,), (443,), (80, 443)]))
+            regions.add_prefix(prefix, ports)
+        queries = _probe_addresses([r.prefix for r in regions], rng)
+        hi, lo = pack(queries)
+        responds = regions.responds_many(queries, 80)
+        assert regions.responds_arr(hi, lo, 80).tolist() == responds
+        found = [regions.find(q) is not None for q in queries]
+        assert regions.contains_arr(hi, lo).tolist() == found
+        truth = GroundTruth({80: set()}, regions)
+        for port, expected in ((80, responds), (ICMPV6, found)):
+            plane = _rebuilt(ScanPlane.build(truth, Blacklist(), (hi, lo), port, 0.0))
+            table = plane.alias_table
+            if table is None:  # no region answers the port
+                assert not any(expected)
+            else:
+                assert table.match_any(hi, lo).tolist() == expected
+
+    def test_from_networks_keeps_maximal_prefixes(self):
+        def bounds(networks_by_length):
+            table = PrefixMaskTable.from_networks(networks_by_length)
+            return unpack(*unfuse(table.bounds))
+
+        # the /32 holds the /64 and the /128; the /96 lies outside it
+        assert bounds({64: [0], 32: [0], 128: [1], 96: [1 << 100]}) == [
+            0, 1 << 96, 1 << 100, (1 << 100) + (1 << 32),
+        ]
+        # two touching /65s merge into their /64
+        assert bounds({65: [0, 1 << 63]}) == [0, 1 << 64]
+        # intervals reaching the last address never close
+        assert bounds({0: [0], 128: [5]}) == [0]
+        assert bounds({128: [(1 << 128) - 1]}) == [(1 << 128) - 1]
+        assert bounds({}) == []
+        assert not PrefixMaskTable.from_networks({}).match_any(*pack([0])).any()
 
 
 class TestLossPrfParity:
