@@ -7,7 +7,10 @@ ledger), verifying on every run that the two produce the same run
 signature — clusters, targets, sampled addresses in order, budget used
 and iterations — and writes the medians and speedups to
 ``benchmarks/results/BENCH_sixgen.json`` (see DESIGN.md "Performance"
-for how to read it).
+for how to read it).  Each tier also gets an extend row: on both paths
+one run goes to ¼ then ½ of the budget and is extended to all of it
+(``SixGen.extend``), and every rung's signature must equal a fresh
+run's at that budget.
 
 Standalone script, not a pytest benchmark — CI runs it with ``--quick``
 and fails the build if the paths ever diverge:
@@ -28,7 +31,7 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.analysis import experiments as ex  # noqa: E402
-from repro.core.sixgen import run_6gen  # noqa: E402
+from repro.core.sixgen import SixGen, SixGenConfig, run_6gen  # noqa: E402
 from repro.telemetry.timer import time_call  # noqa: E402
 
 FULL_TIERS = (30, 100, 300, 1000, 2000)
@@ -73,6 +76,46 @@ def bench_tier(pool: list[int], n: int, repeats: int) -> dict:
     }
 
 
+def extend_tier(pool: list[int], n: int, repeats: int) -> dict:
+    """Extend one run along ¼, ½ and all of ``BUDGET``, against fresh runs.
+
+    Both paths walk the ladder; the timings are the vector path's whole
+    ladder, extended against run fresh at every rung.
+    """
+    subset = random.Random(1000 * n).sample(pool, n)
+    rungs = (BUDGET // 4, BUDGET // 2, BUDGET)
+    timings: dict[str, list[float]] = {"extend": [], "fresh": []}
+    identical = True
+    for _ in range(repeats):
+        for vector in (True, False):
+            config = SixGenConfig(budget=rungs[0], use_vector_kernel=vector)
+            gen = SixGen(subset, config)
+            extended, fresh = [], []
+            for budget in rungs:
+                result, elapsed = time_call(lambda b=budget: gen.extend(b))
+                extended.append(result)
+                if vector:
+                    timings["extend"].append(elapsed)
+                result, elapsed = time_call(
+                    lambda b=budget: run_6gen(subset, b, use_vector_kernel=vector)
+                )
+                fresh.append(result)
+                if vector:
+                    timings["fresh"].append(elapsed)
+            if [run_signature(r) for r in extended] != [
+                run_signature(r) for r in fresh
+            ]:
+                identical = False
+    ladder = {key: sum(times) / repeats for key, times in timings.items()}
+    return {
+        "seeds": n,
+        "budgets": list(rungs),
+        "fresh_ladder_s": round(ladder["fresh"], 4),
+        "extend_ladder_s": round(ladder["extend"], 4),
+        "identical": identical,
+    }
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -104,6 +147,16 @@ def main(argv: list[str] | None = None) -> int:
             f"identical={row['identical']}"
         )
 
+    extend_rows = []
+    for n in tiers:
+        row = extend_tier(pool, n, repeats)
+        extend_rows.append(row)
+        print(
+            f"seeds={row['seeds']:>5}  ladder {row['budgets']}: "
+            f"fresh={row['fresh_ladder_s']:.3f}s  "
+            f"extended={row['extend_ladder_s']:.3f}s  identical={row['identical']}"
+        )
+
     payload = {
         "benchmark": "sixgen_vector_kernel",
         "scale": SCALE,
@@ -111,12 +164,16 @@ def main(argv: list[str] | None = None) -> int:
         "repeats": repeats,
         "quick": args.quick,
         "tiers": rows,
+        "extend": extend_rows,
     }
     args.out.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
     print(f"wrote {args.out}")
 
     if not all(row["identical"] for row in rows):
         print("DIVERGENCE: vectorised kernel output differs from reference")
+        return 1
+    if not all(row["identical"] for row in extend_rows):
+        print("DIVERGENCE: an extended run differs from a fresh run")
         return 1
     return 0
 

@@ -12,9 +12,9 @@ column chunks per prefix, never as a materialised union.
 from __future__ import annotations
 
 import time
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import Mapping, Sequence
 
-from ..core.sixgen import SixGenResult, run_6gen
+from ..core.sixgen import SixGen, SixGenConfig, SixGenResult, run_6gen
 from ..ipv6.prefix import Prefix
 from ..telemetry.spans import Telemetry, ensure
 from ..analysis.grouping import (
@@ -24,19 +24,37 @@ from ..analysis.grouping import (
     static_budget,
 )
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    pass
 
+def _run_in_process(
+    item: tuple[Prefix, list[int], int, bool, str, int | None],
+    telemetry: Telemetry | None,
+    paused: "dict[Prefix, SixGen] | None",
+) -> SixGenResult:
+    """One prefix's 6Gen in this process.
 
-def _run_one(
-    args: tuple[Prefix, list[int], int, bool, str, int | None],
-) -> tuple[Prefix, list[int], int, SixGenResult]:
-    """Worker for process-pool execution (must be module-level to pickle)."""
-    prefix, seeds, prefix_budget, loose, ledger, rng_seed = args
-    result = run_6gen(
-        seeds, prefix_budget, loose=loose, ledger=ledger, rng_seed=rng_seed
-    )
-    return prefix, seeds, prefix_budget, result
+    Without ``paused`` this is a fresh :func:`run_6gen`.  With it, the
+    prefix's paused run is extended to the new budget (equal to a fresh
+    run, :meth:`SixGen.extend`), or started when there is none, and put
+    back for the next call.  The run is taken out first, so one that
+    raises is dropped and the retry starts fresh.
+    """
+    prefix, seeds, prefix_budget, loose, ledger, rng_seed = item
+    if paused is None:
+        return run_6gen(
+            seeds, prefix_budget, loose=loose, ledger=ledger,
+            rng_seed=rng_seed, telemetry=telemetry,
+        )
+    run = paused.pop(prefix, None)
+    if run is None:
+        config = SixGenConfig(
+            budget=prefix_budget, loose=loose, ledger=ledger, rng_seed=rng_seed
+        )
+        run = SixGen(seeds, config, telemetry=telemetry)
+        result = run.run()
+    else:
+        result = run.extend(prefix_budget)
+    paused[prefix] = run
+    return result
 
 
 #: Below this many column bytes a worker ships arrays in the result
@@ -105,6 +123,7 @@ def generate_per_prefix(
     telemetry: Telemetry | None = None,
     isolate_failures: bool = True,
     progress_sink=None,
+    paused: "dict[Prefix, SixGen] | None" = None,
 ) -> MultiPrefixRun:
     """Run 6Gen on every routed prefix's seed group.
 
@@ -133,6 +152,13 @@ def generate_per_prefix(
     :class:`~repro.telemetry.sinks.Sink`, e.g. a campaign checkpoint
     file) receives one ``prefix_generated`` event per completed prefix
     and one ``prefix_failed`` event per skipped prefix.
+
+    ``paused`` keeps runs across calls at rising budgets (a phased
+    campaign's cumulative quotas): the serial path extends each
+    prefix's run from the dict instead of re-running it from the seeds,
+    and stores new ones in it.  The budgets must not fall between
+    calls.  The process pool ignores it and runs fresh, because a
+    paused run is not shipped between processes.
     """
     tele = ensure(telemetry)
     work = []
@@ -214,7 +240,7 @@ def generate_per_prefix(
                     )
         else:
             for item in work:
-                prefix, seeds, prefix_budget, loose_, ledger_, seed_ = item
+                prefix, seeds, prefix_budget = item[:3]
                 # The per-prefix span wraps the whole attempt (retry
                 # included) so `repro report` can attribute generation
                 # time prefix by prefix; run_6gen's own sixgen span —
@@ -225,20 +251,12 @@ def generate_per_prefix(
                         prefix=str(prefix), seeds=len(seeds),
                     ):
                         try:
-                            result = run_6gen(
-                                seeds, prefix_budget, loose=loose_,
-                                ledger=ledger_, rng_seed=seed_,
-                                telemetry=telemetry,
-                            )
+                            result = _run_in_process(item, telemetry, paused)
                         except Exception:
                             if not isolate_failures:
                                 raise
                             tele.count("generate.prefix_retries")
-                            result = run_6gen(
-                                seeds, prefix_budget, loose=loose_,
-                                ledger=ledger_, rng_seed=seed_,
-                                telemetry=telemetry,
-                            )
+                            result = _run_in_process(item, telemetry, paused)
                 except Exception as exc2:
                     if not isolate_failures:
                         raise

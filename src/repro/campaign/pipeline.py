@@ -223,6 +223,10 @@ class Campaign:
         self._all_hits: set[int] = set()
         self._probed_keys = None
         self._gen_quota: dict = {}
+        #: Each prefix's 6Gen run, paused at its cumulative quota so the
+        #: next phase extends it; dropped after the last phase's
+        #: generation and when the campaign closes.
+        self._paused: dict = {}
         self._phase_keys: dict = {}
         self._phase_alloc: dict = {}
         self._phase_remaining = 0
@@ -498,13 +502,18 @@ class Campaign:
     def _materialise_phase(self, allocations: dict) -> dict:
         """Generate one phase's fresh targets: prefix -> (hi, lo) columns.
 
-        Each prefix's 6Gen runs at its *cumulative* quota (6Gen target
-        sets are budget-dependent, not nested, so the phase regenerates
-        and filters rather than assuming extension), already-probed
-        addresses (a fused-key ledger) and addresses inside prefixes the
-        in-loop §6.2 tests flagged as aliased (a prefix mask table) are
-        dropped, and the survivors are capped at this phase's allocation
-        in densest-cluster-first order.
+        Each prefix's 6Gen reaches its *cumulative* quota by extending
+        the run the previous phase paused (:meth:`SixGen.extend`, equal
+        to a fresh run at that quota; the process pool of
+        ``gen_workers > 1`` runs fresh instead).  The target sets are
+        not nested, because the last growth is sampled anew at every
+        quota, so the phase filters the full set rather than taking a
+        difference: already-probed addresses (a fused-key ledger) and
+        addresses inside prefixes the in-loop §6.2 tests flagged as
+        aliased (a prefix mask table) are dropped, and the survivors
+        are capped at this phase's allocation in densest-cluster-first
+        order.  The paused runs are dropped once the last phase is
+        generated.
         """
         import numpy as np
 
@@ -532,7 +541,10 @@ class Campaign:
             telemetry=self.telemetry,
             progress_sink=self._ckpt_sink,
             processes=spec.gen_workers,
+            paused=self._paused,
         )
+        if self._phase >= self.allocation.phases - 1:
+            self._paused.clear()
         phase_cols: dict = {}
         for prefix in sorted(self.run_output.runs):
             hi, lo = dedupe_columns(*self.run_output.runs[prefix].target_columns())
@@ -893,6 +905,7 @@ class Campaign:
         return DealiasReport(clean_hits=set(hits))
 
     def _close(self) -> None:
+        self._paused.clear()
         if self._span is not None:
             self._span.__exit__(None, None, None)
             self._span = None

@@ -29,10 +29,12 @@ growth (budget permitting) and then stop.
 
 from __future__ import annotations
 
+import copy
 import heapq
 import random
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -45,6 +47,8 @@ from ..telemetry.spans import Telemetry, ensure
 from .budget import BudgetExceeded, make_ledger
 from .candidates import SeedMatrix, find_candidates_python
 from .cluster import Cluster, Growth, growth_beats
+
+_EMPTY = np.empty(0, dtype=np.uint64)
 
 
 @dataclass
@@ -100,7 +104,11 @@ class SixGenResult:
     budget_limit: int
     budget_used: int
     iterations: int
-    sampled: list[int] = field(default_factory=list)
+    #: The final growth's randomly sampled addresses as ``(hi, lo)``
+    #: columns, in pick order (:attr:`sampled` boxes them).
+    picks: "tuple[np.ndarray, np.ndarray]" = field(
+        default_factory=lambda: (_EMPTY, _EMPTY), compare=False, repr=False
+    )
     elapsed_seconds: float = 0.0
     _targets: set[int] | None = None
     # The exact ledger's covered addresses (the full deduplicated
@@ -116,6 +124,14 @@ class SixGenResult:
     _columns: "tuple[np.ndarray, np.ndarray] | None" = field(
         default=None, compare=False, repr=False
     )
+
+    @property
+    def sampled(self) -> list[int]:
+        """The final-growth picks as address ints, in pick order.
+
+        Boxed on every call; the generation plane reads :attr:`picks`.
+        """
+        return unpack(*self.picks)
 
     def singleton_clusters(self) -> list[Cluster]:
         """Clusters that never grew past their founding seed (Fig. 5a)."""
@@ -208,8 +224,8 @@ class SixGenResult:
         dedupe = ColumnDeduper()
         expanded = [expand_range_arr(c.range) for c in self.clusters]
         chunks = [dedupe.add(*concat_columns(expanded))]
-        if self.sampled:
-            chunks.append(dedupe.add(*pack(self.sampled)))
+        if len(self.picks[0]):
+            chunks.append(dedupe.add(*self.picks))
         return concat_columns(chunks)
 
     def target_columns_by_density(self) -> "tuple[np.ndarray, np.ndarray]":
@@ -259,8 +275,8 @@ class SixGenResult:
                 pending, pending_size = [], 0
         if pending:
             chunks.append(dedupe.add(*concat_columns(pending)))
-        if self.sampled and (total is None or len(dedupe) < total):
-            chunks.append(dedupe.add(*pack(self.sampled)))
+        if len(self.picks[0]) and (total is None or len(dedupe) < total):
+            chunks.append(dedupe.add(*self.picks))
         columns = concat_columns(chunks)
         self._columns = columns
         return columns
@@ -302,7 +318,11 @@ class _HeapEntry:
 
 
 class SixGen:
-    """A single 6Gen run over one seed set (typically one routed prefix)."""
+    """A single 6Gen run over one seed set (typically one routed prefix).
+
+    :meth:`run` grows it to the configured budget; :meth:`extend` grows
+    it on to a larger one.
+    """
 
     def __init__(
         self,
@@ -320,7 +340,6 @@ class SixGen:
         self.candidate_scans = 0
         self.seeds = sorted(set(int(s) for s in seeds))
         self.rng = random.Random(config.rng_seed)
-        self.tree = NybbleTree(self.seeds)
         self.matrix = SeedMatrix(self.seeds) if config.use_seed_matrix else None
         self.ledger = make_ledger(
             config.ledger, config.budget, self.seeds,
@@ -345,6 +364,25 @@ class SixGen:
         # it keeps the linear scan.
         self._use_heap = self.vectorised and config.use_growth_cache
         self._heap: list[_HeapEntry] = []
+        self._started = False
+        #: Set once no budget can grow the clusters further: all seeds
+        #: unified, or no cluster has a candidate left.
+        self._done = False
+        #: Where a run stopped at a refused growth: a copy of the
+        #: generator and the ledger mark, taken just before the partial
+        #: charge.  (A copy keeps the state in 2.5 KB of C memory, where
+        #: ``getstate()`` boxes 625 ints.)
+        self._pause: tuple | None = None
+
+    @cached_property
+    def tree(self) -> NybbleTree:
+        """The seeds' nybble tree, built on first use.
+
+        The vectorised kernel counts with it only for candidate sets of
+        more than 64 seeds, so most runs never build it, and a paused
+        run does not hold one it never needed.
+        """
+        return NybbleTree(self.seeds)
 
     # -- internals ---------------------------------------------------------
     def _find_candidates(self, range_: NybbleRange) -> list[int]:
@@ -673,45 +711,86 @@ class SixGen:
     # -- driver --------------------------------------------------------------
     def run(self) -> SixGenResult:
         """Execute 6Gen to completion and return the clusters and targets."""
+        return self.extend(self.config.budget)
+
+    def extend(self, budget: int) -> SixGenResult:
+        """Grow the clusters up to ``budget`` and return the result.
+
+        The first call starts from the seeds (:meth:`run` is that call at
+        the configured budget).  A later call resumes the run where it
+        stopped and returns exactly what a fresh run at ``budget``
+        returns, generator state included.  The growth order never reads
+        the budget: a refused ``try_charge`` changes nothing, and
+        selecting, applying and evaluating growths ignore the limit, so
+        a larger budget only moves the point where the loop stops.  A
+        run therefore pauses at its first refused growth, taking the
+        generator state and a ledger mark before the partial charge;
+        extending rolls both back, raises the ledger's limit and
+        re-enters the loop at that same growth.  A run that unified its
+        seeds or ran out of candidates stays as it is.  Results returned
+        earlier are never touched.  ``budget`` below the last one raises
+        :class:`ValueError`.
+        """
+        if budget < self.ledger.limit:
+            raise ValueError(
+                f"cannot extend a 6Gen run at budget {self.ledger.limit} "
+                f"down to {budget}"
+            )
         tele = self.telemetry
         start = time.perf_counter()
-        sampled: list[int] = []
-        with tele.span(
-            "sixgen", seeds=len(self.seeds), budget=self.config.budget
-        ):
-            if self.seeds:
-                self._init_clusters()
-                while True:
-                    selected = self._select_growth()
-                    if selected is None:
-                        break  # every remaining cluster already holds all seeds
-                    cid, growth = selected
-                    old_range = self._clusters[cid].range
-                    try:
-                        self.ledger.try_charge(growth.new_range, old_range)
-                    except BudgetExceeded:
-                        sampled = self.ledger.charge_partial(
-                            growth.new_range, old_range, self.rng
-                        )
-                        break
-                    self.iterations += 1
-                    self._apply_growth(cid, growth)
-                    if growth.new_seed_count == len(self.seeds):
-                        break  # all seeds unified into a single cluster
+        picks = (_EMPTY, _EMPTY)
+        resumed_from = self.ledger.limit if self._started else None
+        attrs = {"seeds": len(self.seeds), "budget": budget}
+        if resumed_from is not None:
+            attrs["extended_from"] = resumed_from
+        with tele.span("sixgen", **attrs):
+            if self._pause is not None:
+                self.rng, mark = self._pause
+                self._pause = None
+                self.ledger.rollback(mark)
+            self.ledger.limit = budget
+            if not self._started:
+                self._started = True
+                if self.seeds:
+                    self._init_clusters()
+            while not self._done:
+                selected = self._select_growth()
+                if selected is None:
+                    self._done = True  # every remaining cluster holds all seeds
+                    break
+                cid, growth = selected
+                old_range = self._clusters[cid].range
+                try:
+                    self.ledger.try_charge(growth.new_range, old_range)
+                except BudgetExceeded:
+                    self._pause = (copy.copy(self.rng), self.ledger.mark())
+                    picks = self.ledger.charge_partial(
+                        growth.new_range, old_range, self.rng
+                    )
+                    if isinstance(picks, list):  # the scalar and range-sum ledgers
+                        picks = pack(picks)
+                    break
+                self.iterations += 1
+                self._apply_growth(cid, growth)
+                if growth.new_seed_count == len(self.seeds):
+                    self._done = True  # all seeds unified into a single cluster
 
         result = SixGenResult(
             clusters=list(self._clusters.values()),
             seed_count=len(self.seeds),
-            budget_limit=self.config.budget,
+            budget_limit=budget,
             budget_used=self.ledger.used,
             iterations=self.iterations,
-            sampled=sampled,
+            picks=picks,
             elapsed_seconds=time.perf_counter() - start,
         )
         if self.config.ledger == "exact":
             # The exact ledger already knows the deduplicated target set.
             result._covered = self.ledger.covered_columns()
         if tele.enabled:
+            # Counts describe the returned result, so an extension
+            # reports what a fresh run at its budget would; only the
+            # seconds are the call's own.
             grown = sum(1 for c in result.clusters if not c.is_singleton())
             tele.count("sixgen.runs")
             tele.count(
@@ -724,7 +803,7 @@ class SixGen:
             tele.count("sixgen.clusters_final", len(result.clusters))
             tele.count("sixgen.candidate_scans", self.candidate_scans)
             tele.count("sixgen.budget_used", result.budget_used)
-            tele.count("sixgen.sampled_targets", len(result.sampled))
+            tele.count("sixgen.sampled_targets", len(picks[0]))
             tele.observe("sixgen.run_seconds", result.elapsed_seconds)
             if result._covered is not None:
                 # generate.* metrics: the generation plane's output
@@ -736,20 +815,20 @@ class SixGen:
                         "generate.targets_per_sec",
                         targets_total / result.elapsed_seconds,
                     )
-            tele.event(
-                "sixgen_summary",
-                {
-                    "seeds": result.seed_count,
-                    "iterations": result.iterations,
-                    "clusters": len(result.clusters),
-                    "clusters_grown": grown,
-                    "budget_used": result.budget_used,
-                    "budget_limit": result.budget_limit,
-                    "candidate_scans": self.candidate_scans,
-                    "kernel": "vector" if self.vectorised else "reference",
-                    "seconds": round(result.elapsed_seconds, 6),
-                },
-            )
+            summary = {
+                "seeds": result.seed_count,
+                "iterations": result.iterations,
+                "clusters": len(result.clusters),
+                "clusters_grown": grown,
+                "budget_used": result.budget_used,
+                "budget_limit": result.budget_limit,
+                "candidate_scans": self.candidate_scans,
+                "kernel": "vector" if self.vectorised else "reference",
+                "seconds": round(result.elapsed_seconds, 6),
+            }
+            if resumed_from is not None:
+                summary["extended_from"] = resumed_from
+            tele.event("sixgen_summary", summary)
         return result
 
 

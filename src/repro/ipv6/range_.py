@@ -635,6 +635,22 @@ _WORD_BLOCK = 1 << 18
 _TOP_BIT = 1 << 31
 
 
+def _twister(rng: random.Random) -> np.random.MT19937:
+    """A numpy Mersenne Twister at ``rng``'s state.
+
+    CPython's ``random.Random`` and numpy's ``MT19937`` run the same
+    generator over the same 624-word key and position, so the twister's
+    raw outputs are the words ``rng.getrandbits(32)`` would return.
+    """
+    key = rng.getstate()[1]
+    twister = np.random.MT19937()
+    twister.state = {
+        "bit_generator": "MT19937",
+        "state": {"key": np.array(key[:-1], dtype=np.uint32), "pos": key[-1]},
+    }
+    return twister
+
+
 def _accepted_words(words: np.ndarray, thresholds: list[int]) -> np.ndarray:
     """Indices of the words each whole candidate accepts, shape ``(n, 32)``.
 
@@ -693,14 +709,15 @@ def sample_range_arr(
     ``random_int`` makes one ``rng.choice`` per nybble position.  Over
     ``n`` values, ``choice`` takes 32-bit Mersenne Twister words ``w``
     until ``w >> (32 - k) < n`` (``k = n.bit_length()``), that is until
-    ``w < n << (32 - k)``, and picks value index ``w >> (32 - k)``; and
-    ``rng.getrandbits(32 * m)`` returns the next ``m`` words, the first
-    least significant.  So blocks of words decode into whole candidates
-    (:func:`_accepted_words`), which are filtered in bulk: outside
-    ``old``, outside ``exclude``, first seen.  Finally the generator is
-    rewound to the last block's draw and advanced by exactly the words
-    consumed up to the ``count``-th pick.  ``tests/test_ledger_parity.py``
-    pins the interpreter behaviour this relies on.
+    ``w < n << (32 - k)``, and picks value index ``w >> (32 - k)``.  A
+    numpy ``MT19937`` loaded with ``rng``'s state yields those same
+    words in blocks (:func:`_twister`), which decode into whole
+    candidates (:func:`_accepted_words`) and are filtered in bulk:
+    outside ``old``, outside ``exclude``, first seen.  Finally the
+    twister is reloaded with the last block's starting state, advanced
+    by exactly the words consumed up to the ``count``-th pick, and its
+    state written back into ``rng``.  ``tests/test_ledger_parity.py``
+    pins the interpreter and numpy behaviour this relies on.
     """
     empty = np.empty(0, dtype=np.uint64)
     if count <= 0:
@@ -732,14 +749,15 @@ def sample_range_arr(
     # and a pessimistic share of candidates that survive the filters.
     words_per_pick = sum(2**32 / t for t in thresholds) * size / max(available, 1)
 
+    twister = _twister(rng)
     chosen = np.empty(0, dtype="S16")
     carry = np.empty(0, dtype=np.uint32)
     while True:
         need = count - len(chosen)
         fresh = min(_WORD_BLOCK, int(words_per_pick * need * 1.1) + 64)
-        state = rng.getstate()
-        drawn = rng.getrandbits(32 * fresh).to_bytes(4 * fresh, "little")
-        words = np.concatenate([carry, np.frombuffer(drawn, dtype="<u4")])
+        block_state = twister.state
+        drawn = twister.random_raw(fresh).astype(np.uint32)
+        words = np.concatenate([carry, drawn])
         acc = _accepted_words(words, thresholds)
         rows = np.arange(len(acc))
         if widened:
@@ -770,8 +788,11 @@ def sample_range_arr(
     # inside it would have been whole in the previous block), so
     # rewinding to this block's draw and re-drawing up to that word
     # leaves the generator where the scalar loop leaves it.
-    rng.setstate(state)
-    rng.getrandbits(32 * (int(acc[rows[first.max()], -1]) + 1 - len(carry)))
+    twister.state = block_state
+    twister.random_raw(int(acc[rows[first.max()], -1]) + 1 - len(carry), output=False)
+    version, _, gauss_next = rng.getstate()
+    state = twister.state["state"]
+    rng.setstate((version, (*state["key"].tolist(), int(state["pos"])), gauss_next))
     return unfuse(chosen)
 
 

@@ -10,6 +10,7 @@ from repro.core.budget import (
     RangeSumLedger,
     make_ledger,
 )
+from repro.ipv6.addrplane import unpack
 from repro.ipv6.range_ import NybbleRange
 
 from conftest import addr
@@ -56,7 +57,7 @@ class TestExactLedger:
     def test_charge_partial_exact_consumption(self):
         ledger = ExactLedger(5, [addr("2001:db8::1")])
         old, new = _ranges()
-        picked = ledger.charge_partial(new, old, random.Random(0))
+        picked = unpack(*ledger.charge_partial(new, old, random.Random(0)))
         assert len(picked) == 5
         assert ledger.remaining == 0
         for p in picked:
@@ -66,13 +67,13 @@ class TestExactLedger:
     def test_charge_partial_zero_remaining(self):
         ledger = ExactLedger(0, [])
         old, new = _ranges()
-        assert ledger.charge_partial(new, old, random.Random(0)) == []
+        assert unpack(*ledger.charge_partial(new, old, random.Random(0))) == []
 
     def test_charge_partial_large_range_rejection(self):
         ledger = ExactLedger(20, [addr("2001:db8::1")])
         old = NybbleRange.from_address(addr("2001:db8::1"))
         new = NybbleRange.parse("2001:db8::?:????:????")  # astronomically large
-        picked = ledger.charge_partial(new, old, random.Random(0))
+        picked = unpack(*ledger.charge_partial(new, old, random.Random(0)))
         assert len(picked) == 20
         assert len(set(picked)) == 20
 

@@ -88,7 +88,7 @@ def run_both(new, old, covered, limit, rng_seed):
     assert outcome(fast.try_charge, new, old) == outcome(ref.try_charge, new, old)
     assert_same_ledgers(fast, ref)
     fast_rng, ref_rng = random.Random(rng_seed), random.Random(rng_seed)
-    picked = fast.charge_partial(new, old, fast_rng)
+    picked = unpack(*fast.charge_partial(new, old, fast_rng))
     assert picked == ref.charge_partial(new, old, ref_rng)
     assert_same_ledgers(fast, ref)
     assert fast_rng.getstate() == ref_rng.getstate()
@@ -297,6 +297,34 @@ class TestGeneratorContract:
         assert rng.getstate() == model.getstate(), (
             f"{SAMPLER} assumes getrandbits(32 * m) consumes exactly m words"
         )
+
+    @pytest.mark.parametrize("drawn", [0, 1, 623, 624, 625, 5000])
+    def test_numpy_twister_continues_random(self, drawn):
+        """numpy's MT19937, loaded with ``Random.getstate()``, yields the
+        words ``getrandbits(32)`` would and reads back the same state.
+        A freshly seeded generator (``drawn == 0``) and one at a key
+        boundary sit at ``pos == 624``."""
+        rng = random.Random(drawn)
+        rng.getrandbits(32 * drawn)
+        version, key, gauss_next = rng.getstate()
+        assert (key[-1] == 624) == (drawn in (0, 624))
+        twister = np.random.MT19937()
+        twister.state = {
+            "bit_generator": "MT19937",
+            "state": {"key": np.array(key[:-1], dtype=np.uint32), "pos": key[-1]},
+        }
+        for m in (1, 700, 3):
+            words = [rng.getrandbits(32) for _ in range(m)]
+            assert twister.random_raw(m).tolist() == words, (
+                f"{SAMPLER} assumes numpy's MT19937 at Random's state draws "
+                "the words getrandbits(32) draws"
+            )
+            state = twister.state["state"]
+            back = (version, (*state["key"].tolist(), int(state["pos"])), gauss_next)
+            assert back == rng.getstate(), (
+                f"{SAMPLER} assumes numpy's MT19937 state reads back as "
+                "Random's state after the same words"
+            )
 
     def test_advance_reproduces_state_after_draws(self):
         range_ = NybbleRange.parse("2001:db8::[0-2]?:[1-5]f?")

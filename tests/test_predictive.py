@@ -9,6 +9,7 @@ and tenant-ledger bounding through the service.
 """
 
 import os
+import weakref
 
 import pytest
 
@@ -374,6 +375,48 @@ class TestPhasedResume:
         )
         with pytest.raises(ValueError, match="does not match"):
             campaign.run(resume=True)
+
+
+class TestPausedRuns:
+    """Each prefix's paused 6Gen run lives only as long as its campaign
+    needs it: weak references to the runs die once the last phase is
+    generated, and on finish(), interrupt() and abort() before that.
+    The results stay alive throughout, so none of them holds its run."""
+
+    @staticmethod
+    def _begun(context):
+        campaign = _campaign(context, _spec(), allocation=_allocator(context))
+        campaign.begin()
+        refs = [weakref.ref(run) for run in campaign._paused.values()]
+        assert refs and all(ref() is not None for ref in refs)
+        return campaign, refs
+
+    @staticmethod
+    def _released(campaign, refs):
+        assert campaign.run_output.runs
+        assert not campaign._paused
+        return all(ref() is None for ref in refs)
+
+    def test_released_after_last_phase_generated(self):
+        context = _context()
+        campaign, refs = self._begun(context)
+        last = campaign.allocation.phases - 1
+        while campaign._phase < last:
+            assert campaign._paused
+            assert campaign.step()
+        assert campaign.state == "running" and campaign.execution is not None
+        assert self._released(campaign, refs)
+        result = campaign.run_output
+        while campaign.step():
+            pass
+        campaign.finish()
+        assert campaign.result.run is result
+
+    @pytest.mark.parametrize("end", ["finish", "interrupt", "abort"])
+    def test_released_when_the_campaign_ends(self, end):
+        campaign, refs = self._begun(_context())
+        getattr(campaign, end)()
+        assert self._released(campaign, refs)
 
 
 class TestServiceIntegration:
