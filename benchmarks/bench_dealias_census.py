@@ -33,7 +33,7 @@ def test_aliasing_census(benchmark, save_result):
     # census world's /96s and real AS mix: the same report and the same
     # probes, each on a fresh scanner over the same truth.
     outcome = ex.standard_outcome(BENCH_BUDGET, BENCH_SCALE)
-    internet = outcome.context.internet
+    internet = ex.standard_context(BENCH_SCALE).internet
     column_scanner = Scanner(internet.truth)
     column = dealias(outcome.raw_hits, column_scanner, internet.bgp)
     oracle_scanner = Scanner(internet.truth)

@@ -45,6 +45,7 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.analysis import experiments as ex  # noqa: E402
+from repro.campaign import generate_per_prefix  # noqa: E402
 from repro.faults import InjectedWorkerCrash, WorkerCrash  # noqa: E402
 from repro.hitlist import LivingHitlist  # noqa: E402
 from repro.ipv6.addrplane import pack  # noqa: E402
@@ -69,9 +70,7 @@ HITLIST_TENANTS = 2
 def build_campaign():
     """Deterministic truth + target pool from the standard 6Gen run."""
     context = ex.standard_context(SCALE)
-    from repro.analysis.grouping import run_per_prefix
-
-    run = run_per_prefix(context.groups, BUDGET)
+    run = generate_per_prefix(context.groups, BUDGET)
     targets = list(dict.fromkeys(run.iter_targets()))
     return context.internet.truth, targets
 

@@ -34,7 +34,7 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.analysis import experiments as ex  # noqa: E402
-from repro.analysis.grouping import run_per_prefix  # noqa: E402
+from repro.campaign import generate_per_prefix  # noqa: E402
 from repro.scanner.blacklist import Blacklist  # noqa: E402
 from repro.scanner.engine import ScanConfig, Scanner  # noqa: E402
 from repro.ipv6.prefix import Prefix  # noqa: E402
@@ -58,7 +58,7 @@ DEFAULT_OUT = REPO_ROOT / "benchmarks" / "results" / "BENCH_scan.json"
 def build_pool(limit: int) -> list[int]:
     """Target pool from the standard 6Gen run (streamed, deterministic)."""
     context = ex.standard_context(SCALE)
-    run = run_per_prefix(context.groups, BUDGET)
+    run = generate_per_prefix(context.groups, BUDGET)
     pool: list[int] = []
     seen: set[int] = set()
     for target in run.iter_targets():

@@ -10,8 +10,8 @@ Run:  python examples/internet_scan.py [scale] [budget]
 
 import sys
 
-from repro.analysis.grouping import run_per_prefix
 from repro.analysis.metrics import top_ases
+from repro.campaign import generate_per_prefix
 from repro.scanner.dealias import dealias
 from repro.scanner.engine import Scanner
 from repro.simnet.bgp import group_by_routed_prefix
@@ -34,7 +34,7 @@ def main() -> None:
     )
 
     print(f"\nrunning 6Gen per routed prefix (budget {budget}/prefix) ...")
-    run = run_per_prefix(groups, budget)
+    run = generate_per_prefix(groups, budget)
     targets = run.all_targets()
     print(f"  {len(targets)} targets generated")
 

@@ -1,17 +1,12 @@
-"""Evaluation harness: metrics, per-prefix orchestration, experiments.
+"""Evaluation harness: metrics, experiments, reports.
 
 ``experiments`` holds one driver per paper table/figure (see DESIGN.md
-§4 for the index); ``metrics`` the shared aggregations; ``traintest``
-the §7.1 methodology; ``grouping`` the per-routed-prefix 6Gen runs.
+§4 for the index); ``extensions`` the §8 exploration drivers;
+``metrics`` the shared aggregations; ``traintest`` the §7.1
+methodology; ``report`` the markdown scan report.  The per-prefix 6Gen
+runs they analyse come from :mod:`repro.campaign`.
 """
 
-from .grouping import (
-    MultiPrefixRun,
-    PrefixRun,
-    run_per_prefix,
-    seed_proportional_budget,
-    static_budget,
-)
 from .metrics import (
     SEED_BUCKETS,
     AsShare,
@@ -39,10 +34,8 @@ from .traintest import (
 __all__ = [
     "AsShare",
     "ClusterCensus",
-    "MultiPrefixRun",
     "Plot",
     "Series",
-    "PrefixRun",
     "SEED_BUCKETS",
     "TrainTestPoint",
     "asn_cdf",
@@ -55,13 +48,10 @@ __all__ = [
     "inverse_kfold",
     "quantiles",
     "render_svg",
-    "run_per_prefix",
     "save_svg",
     "scan_report",
-    "seed_proportional_budget",
     "sixgen_generator",
     "split_folds",
-    "static_budget",
     "top_ases",
     "train_and_test",
 ]

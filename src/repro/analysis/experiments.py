@@ -19,16 +19,15 @@ import time
 from dataclasses import dataclass
 from typing import Sequence
 
+from ..campaign import Campaign, CampaignResult, CampaignSpec
 from ..core.sixgen import run_6gen
 from ..datasets.cdn import all_cdns
 from ..ipv6.prefix import Prefix
-from ..scanner.dealias import DealiasReport, dealias
-from ..scanner.engine import ScanConfig, Scanner
+from ..scanner.dealias import dealias
+from ..scanner.engine import Scanner
 from ..simnet.bgp import group_by_routed_prefix
 from ..simnet.dns import SeedCollection, collect_seeds
 from ..simnet.ground_truth import SimInternet, default_internet
-from ..telemetry.spans import Telemetry
-from .grouping import MultiPrefixRun
 from .metrics import (
     SEED_BUCKETS,
     AsShare,
@@ -86,112 +85,37 @@ def standard_context(
     return ExperimentContext(internet=internet, seeds=seeds, groups=groups)
 
 
-@dataclass
-class ScanOutcome:
-    """One full §6 pass: per-prefix 6Gen, active scan, dealiasing."""
-
-    context: ExperimentContext
-    budget: int
-    run: MultiPrefixRun
-    raw_hits: set[int]
-    report: DealiasReport
-    targets_generated: int
-    probes_sent: int
-
-    @property
-    def aliased_hits(self) -> set[int]:
-        return self.report.aliased_hits
-
-    @property
-    def clean_hits(self) -> set[int]:
-        return self.report.clean_hits
-
-    def new_clean_hits(self) -> set[int]:
-        """Dealiased hits that were not already seeds."""
-        return self.clean_hits - set(self.context.seed_addresses)
-
-
 def run_full_scan(
     context: ExperimentContext,
     budget: int,
     *,
     loose: bool = True,
     seed_addrs: Sequence[int] | None = None,
-    dealias_hits: bool = True,
     port: int = 80,
-    scan_config: ScanConfig | None = None,
-    telemetry: Telemetry | None = None,
-    checkpoint_path: str | None = None,
-    resume: bool = False,
-    checkpoint_every: int = 16,
-    crash=None,
-    gen_workers: int | None = None,
-) -> ScanOutcome:
-    """Run 6Gen per routed prefix, scan one port, and dealias the hits.
+) -> CampaignResult:
+    """One §6 pass: 6Gen per routed prefix, a scan of one port, dealiasing.
 
-    Targets stream straight from each prefix run into the scanner as
-    packed ``(hi, lo)`` column chunks — the union set is never
-    materialised and no per-address Python ints are boxed on the way
-    in (the scanner dedupes the chunks with a fused-key array pass).
-    ``scan_config`` selects the scan execution strategy (batch size,
-    worker processes, retry rounds); the result is identical for every
-    config, so callers tune it freely.  ``gen_workers`` > 1 shards the
-    per-prefix generation across a process pool (§5.6's
-    parallelisation axis); results are bit-identical to serial because
-    every prefix run is independently seeded.  ``telemetry``
-    instruments all three stages (generation, scan, dealiasing) under
-    one ``full_scan`` span without changing any of them.
-
-    ``checkpoint_path`` streams campaign progress (per-prefix
-    generation events plus scan checkpoints) through a crash-safe
-    :class:`~repro.telemetry.sinks.JsonlSink`.  With ``resume=True``
-    the scan phase continues from the newest checkpoint in that file:
-    generation re-runs (it is deterministic and cheap relative to
-    probing) to rebuild the identical target stream, then the scan
-    replays its recorded keys from the recorded batch — finishing with
-    hits and stats bit-identical to an uninterrupted run.  ``crash``
-    (a :class:`~repro.faults.WorkerCrash`) is the deterministic kill
-    switch the resume-parity tests use.
-
-    This is a thin wrapper over the campaign layer
-    (:class:`repro.campaign.Campaign`), which owns the pipeline; the
-    parity tests pin this wrapper to the campaign's monolithic path.
+    A :class:`~repro.campaign.Campaign` at default settings over the
+    context's world.  ``seed_addrs`` replaces the context's seeds
+    (regrouped by routed prefix); ``loose`` picks the range granularity
+    (§6.3) and ``port`` the probed service.  Build the campaign
+    yourself for scan configs, telemetry, checkpoints or generation
+    workers.
     """
-    from ..campaign import Campaign, CampaignSpec
-
     if seed_addrs is None:
         groups = context.groups
     else:
         groups = group_by_routed_prefix(seed_addrs, context.internet.bgp)
-    spec = CampaignSpec(
-        budget=budget,
-        port=port,
-        loose=loose,
-        dealias=dealias_hits,
-        scan_config=scan_config or ScanConfig(),
-        gen_workers=gen_workers,
-        checkpoint_every=checkpoint_every,
-    )
-    campaign = Campaign(
-        context.internet.truth, context.internet.bgp, groups, spec,
-        telemetry=telemetry, checkpoint_path=checkpoint_path,
-    )
-    result = campaign.run(resume=resume, crash=crash)
-    return ScanOutcome(
-        context=context,
-        budget=budget,
-        run=result.run,
-        raw_hits=result.raw_hits,
-        report=result.report,
-        targets_generated=result.targets_generated,
-        probes_sent=result.probes_sent,
-    )
+    spec = CampaignSpec(budget=budget, port=port, loose=loose)
+    return Campaign(
+        context.internet.truth, context.internet.bgp, groups, spec
+    ).run()
 
 
 @functools.lru_cache(maxsize=4)
 def standard_outcome(
     budget: int = DEFAULT_BUDGET, scale: float = DEFAULT_SCALE
-) -> ScanOutcome:
+) -> CampaignResult:
     """The cached standard run shared by Figures 3/5/6/7 and Table 1."""
     return run_full_scan(standard_context(scale), budget)
 
@@ -270,10 +194,11 @@ def fig3_asn_cdf(
     budget: int = DEFAULT_BUDGET, scale: float = DEFAULT_SCALE
 ) -> list[AsnCdfSeries]:
     """Seed / aliased-hit / clean-hit distributions across ASNs (Fig. 3)."""
+    context = standard_context(scale)
     outcome = standard_outcome(budget, scale)
-    bgp = outcome.context.internet.bgp
+    bgp = context.internet.bgp
     return [
-        AsnCdfSeries("Seed Addresses", asn_cdf(outcome.context.seed_addresses, bgp)),
+        AsnCdfSeries("Seed Addresses", asn_cdf(context.seed_addresses, bgp)),
         AsnCdfSeries("Aliased Hits", asn_cdf(outcome.aliased_hits, bgp)),
         AsnCdfSeries("Non-Aliased Hits", asn_cdf(outcome.clean_hits, bgp)),
     ]
@@ -302,11 +227,12 @@ def table1_top_ases(
     budget: int = DEFAULT_BUDGET, scale: float = DEFAULT_SCALE, k: int = 10
 ) -> Table1:
     """Top-10 ASes for seeds, aliased hits, and dealiased hits (Table 1)."""
+    context = standard_context(scale)
     outcome = standard_outcome(budget, scale)
-    bgp = outcome.context.internet.bgp
-    registry = outcome.context.internet.registry
+    bgp = context.internet.bgp
+    registry = context.internet.registry
     return Table1(
-        seeds=top_ases(outcome.context.seed_addresses, bgp, registry, k),
+        seeds=top_ases(context.seed_addresses, bgp, registry, k),
         aliased=top_ases(outcome.aliased_hits, bgp, registry, k),
         clean=top_ases(outcome.clean_hits, bgp, registry, k),
     )
@@ -544,13 +470,13 @@ def fig7_hits_by_seeds(
     budget: int = DEFAULT_BUDGET, scale: float = DEFAULT_SCALE
 ) -> list[HitsBucketRow]:
     """Distribution of dealiased hits per prefix by seed bucket (Fig. 7)."""
-    outcome = standard_outcome(budget, scale)
-    counts = hits_per_prefix(outcome.clean_hits, outcome.context.groups)
+    groups = standard_context(scale).groups
+    counts = hits_per_prefix(standard_outcome(budget, scale).clean_hits, groups)
     rows = []
     for low, high in SEED_BUCKETS:
         values = [
             counts[prefix]
-            for prefix, seeds in outcome.context.groups.items()
+            for prefix, seeds in groups.items()
             if low <= len(seeds) < high
         ]
         if not values:
@@ -736,13 +662,14 @@ def churn_analysis(
     budget: int = DEFAULT_BUDGET, scale: float = DEFAULT_SCALE
 ) -> ChurnAnalysis:
     """§6.6's churn check: subtract inactive seeds from hits per prefix."""
+    context = standard_context(scale)
     outcome = standard_outcome(budget, scale)
-    truth = outcome.context.internet.truth
-    counts = hits_per_prefix(outcome.clean_hits, outcome.context.groups)
+    truth = context.internet.truth
+    counts = hits_per_prefix(outcome.clean_hits, context.groups)
     considered = 0
     net_positive = 0
     total_inactive = 0
-    for prefix, seeds in outcome.context.groups.items():
+    for prefix, seeds in context.groups.items():
         inactive = sum(1 for s in seeds if not truth.is_responsive(s))
         total_inactive += inactive
         considered += 1
@@ -793,7 +720,7 @@ def aliasing_census(
 ) -> AliasingCensus:
     """The §6.2 numbers: /96 aliasing rate, AS concentration."""
     outcome = standard_outcome(budget, scale)
-    internet = outcome.context.internet
+    internet = standard_context(scale).internet
     from ..scanner.dealias import summarize_aliased_prefixes
 
     summary = summarize_aliased_prefixes(

@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+from ..campaign import generate_per_prefix
 from ..core.feedback import run_adaptive
 from ..scanner.dealias import dealias
 from ..scanner.engine import Scanner
@@ -31,7 +32,6 @@ from .experiments import (
     run_full_scan,
     standard_context,
 )
-from .grouping import run_per_prefix, seed_proportional_budget
 
 
 # ---------------------------------------------------------------------------
@@ -75,7 +75,7 @@ def cross_protocol_experiment(
         a for a in context.seed_addresses if truth.is_responsive(a, seed_port)
     ]
     groups = group_by_routed_prefix(seeds, context.internet.bgp)
-    run = run_per_prefix(groups, budget)
+    run = generate_per_prefix(groups, budget)
     scanner = Scanner(truth)
     scan = scanner.scan(run.all_targets(), port=target_port)
     report = dealias(scan.hits, scanner, context.internet.bgp, port=target_port)
@@ -307,14 +307,12 @@ def budget_allocation_experiment(
     scanner = Scanner(context.internet.truth)
     rows = []
     for policy_name, run in (
-        (
-            "static",
-            run_per_prefix(groups, budget_per_prefix),
-        ),
+        ("static", generate_per_prefix(groups, budget_per_prefix)),
         (
             "seed-proportional",
-            run_per_prefix(
-                groups, per_seed, budget_policy=seed_proportional_budget
+            generate_per_prefix(
+                groups,
+                {prefix: per_seed * len(seeds) for prefix, seeds in groups.items()},
             ),
         ),
     ):

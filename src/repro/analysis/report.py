@@ -1,7 +1,7 @@
 """Scan-report generation: one document summarising a full §6 run.
 
 Produces a markdown report combining every §6 analysis for a single
-scan outcome — seed statistics, target generation totals, hit counts,
+campaign result — seed statistics, target generation totals, hit counts,
 the aliasing census, Table 1-style AS breakdowns, cluster censuses and
 the dynamic-nybble profile.  The CLI's ``report`` subcommand and the
 benchmark harness both emit it; it is the document a measurement team
@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .experiments import ScanOutcome
+from ..campaign import CampaignResult
+from .experiments import ExperimentContext
 from .metrics import (
     SEED_BUCKETS,
     AsShare,
@@ -36,40 +37,47 @@ def _as_table(rows: Sequence[AsShare]) -> list[str]:
     return lines
 
 
-def scan_report(outcome: ScanOutcome, title: str = "IPv6 scan report") -> str:
-    """Render the full markdown report for one scan outcome."""
-    context = outcome.context
+def scan_report(
+    context: ExperimentContext,
+    budget: int,
+    result: CampaignResult,
+    title: str = "IPv6 scan report",
+) -> str:
+    """Render the full markdown report for one campaign over ``context``.
+
+    ``budget`` is the campaign's per-prefix probe budget.
+    """
     internet = context.internet
     seeds = context.seed_addresses
     lines: list[str] = [f"# {title}", ""]
 
     # --- run summary -------------------------------------------------------
-    new_clean = outcome.new_clean_hits()
+    new_clean = result.clean_hits - set(seeds)
     lines += [
         "## Run summary",
         "",
         f"* routed prefixes with seeds: **{len(context.groups)}**",
         f"* unique seed addresses: **{len(seeds)}**",
-        f"* per-prefix probe budget: **{outcome.budget}**",
-        f"* targets generated: **{outcome.targets_generated}**",
-        f"* probes sent: **{outcome.probes_sent}**",
-        f"* raw TCP/80 hits: **{len(outcome.raw_hits)}**",
-        f"* aliased hits: **{len(outcome.aliased_hits)}** "
-        f"({outcome.report.aliased_fraction():.1%} of raw)",
-        f"* dealiased hits: **{len(outcome.clean_hits)}** "
+        f"* per-prefix probe budget: **{budget}**",
+        f"* targets generated: **{result.targets_generated}**",
+        f"* probes sent: **{result.probes_sent}**",
+        f"* raw TCP/80 hits: **{len(result.raw_hits)}**",
+        f"* aliased hits: **{len(result.aliased_hits)}** "
+        f"({result.report.aliased_fraction():.1%} of raw)",
+        f"* dealiased hits: **{len(result.clean_hits)}** "
         f"(**{len(new_clean)}** newly discovered)",
         "",
     ]
 
     # --- aliasing census ----------------------------------------------------
     aliased_asn_names = sorted(
-        internet.as_name(asn) for asn in outcome.report.aliased_asns
+        internet.as_name(asn) for asn in result.report.aliased_asns
     )
     lines += [
         "## Aliasing census (§6.2 method)",
         "",
-        f"* /96 prefixes containing hits: {outcome.report.prefixes_tested}",
-        f"* of which aliased: {len(outcome.report.aliased_prefixes)}",
+        f"* /96 prefixes containing hits: {result.report.prefixes_tested}",
+        f"* of which aliased: {len(result.report.aliased_prefixes)}",
         f"* ASes aliased at finer granularity (AS-level /112 inspection): "
         f"{', '.join(aliased_asn_names) or '(none)'}",
         "",
@@ -80,16 +88,16 @@ def scan_report(outcome: ScanOutcome, title: str = "IPv6 scan report") -> str:
     lines += _as_table(top_ases(seeds, internet.bgp, internet.registry, 10))
     lines += ["", "### Aliased hits", ""]
     lines += _as_table(
-        top_ases(outcome.aliased_hits, internet.bgp, internet.registry, 10)
+        top_ases(result.aliased_hits, internet.bgp, internet.registry, 10)
     )
     lines += ["", "### Dealiased hits", ""]
     lines += _as_table(
-        top_ases(outcome.clean_hits, internet.bgp, internet.registry, 10)
+        top_ases(result.clean_hits, internet.bgp, internet.registry, 10)
     )
     lines.append("")
 
     # --- per-prefix hit distribution ------------------------------------------
-    counts = hits_per_prefix(outcome.clean_hits, context.groups)
+    counts = hits_per_prefix(result.clean_hits, context.groups)
     lines += [
         "## Dealiased hits per routed prefix",
         "",
@@ -113,7 +121,7 @@ def scan_report(outcome: ScanOutcome, title: str = "IPv6 scan report") -> str:
     lines.append("")
 
     # --- cluster census ----------------------------------------------------------
-    census = cluster_census(outcome.run.results())
+    census = cluster_census(result.run.results())
     total_grown = sum(c.grown_clusters for c in census)
     total_singletons = sum(c.singleton_clusters for c in census)
     lines += [
@@ -127,7 +135,7 @@ def scan_report(outcome: ScanOutcome, title: str = "IPv6 scan report") -> str:
     ]
 
     # --- dynamic nybbles -----------------------------------------------------------
-    histogram = dynamic_nybble_histogram(outcome.run.results())
+    histogram = dynamic_nybble_histogram(result.run.results())
     peak = max(range(32), key=lambda i: histogram[i])
     lines += [
         "## Dynamic nybble profile",

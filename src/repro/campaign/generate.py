@@ -1,32 +1,105 @@
-"""The campaign's generation stage: per-prefix 6Gen over a process pool.
+"""The campaign's generation stage: 6Gen per routed prefix.
 
-This is the implementation behind
-:func:`repro.analysis.grouping.run_per_prefix` (which stays as the
-public thin wrapper, with the data types): run 6Gen on every routed
+The paper groups seeds by BGP routed prefix and runs 6Gen on each
+prefix independently at a static per-prefix probe budget, leaving
+cross-network allocation open (§6, §8).  :func:`generate_per_prefix`
+is the one entry point for that stage: it runs 6Gen on every routed
 prefix's seed group, serially or across a process pool, with failure
-isolation and per-prefix progress events.  The campaign pipeline calls
-it directly as its first stage; targets leave as packed ``(hi, lo)``
-column chunks per prefix, never as a materialised union.
+isolation and per-prefix progress events, and returns the runs as a
+:class:`MultiPrefixRun`.  The campaign pipeline calls it as its first
+stage; targets leave as packed ``(hi, lo)`` column chunks per prefix,
+never as a materialised union.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Mapping, Sequence
+from collections.abc import Iterator, Mapping, Sequence
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from ..core.sixgen import SixGen, SixGenConfig, SixGenResult, run_6gen
 from ..ipv6.prefix import Prefix
 from ..telemetry.spans import Telemetry, ensure
-from ..analysis.grouping import (
-    BudgetPolicy,
-    MultiPrefixRun,
-    PrefixRun,
-    static_budget,
-)
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import numpy as np
+
+
+@dataclass
+class PrefixRun:
+    """6Gen output for one routed prefix."""
+
+    prefix: Prefix
+    seeds: list[int]
+    budget: int
+    result: SixGenResult
+
+    def iter_targets(self) -> Iterator[int]:
+        """Stream this prefix's generated targets (distinct, unordered)."""
+        return self.result.iter_targets()
+
+    def target_columns(self) -> "tuple[np.ndarray, np.ndarray]":
+        """This prefix's targets as packed ``(hi, lo)`` uint64 columns.
+
+        Densest-cluster-first order (the paper's probing priority);
+        cached on the result, so repeated calls are free.
+        """
+        return self.result.target_columns_by_density()
+
+
+@dataclass
+class MultiPrefixRun:
+    """6Gen outputs across all routed prefixes of one experiment.
+
+    ``failures`` maps prefixes whose 6Gen run raised (twice — every
+    failure is retried once) to a short error description; their
+    targets are simply absent from the campaign.
+    """
+
+    runs: dict[Prefix, PrefixRun] = field(default_factory=dict)
+    failures: dict[Prefix, str] = field(default_factory=dict)
+
+    def results(self) -> dict[Prefix, SixGenResult]:
+        return {prefix: run.result for prefix, run in self.runs.items()}
+
+    def all_targets(self) -> set[int]:
+        """Union of generated targets across prefixes."""
+        targets: set[int] = set()
+        for run in self.runs.values():
+            targets |= run.result.target_set()
+        return targets
+
+    def iter_targets(self) -> Iterator[int]:
+        """Stream targets prefix by prefix (sorted) without materialising
+        the union.
+
+        Distinct routed prefixes can overlap (more- and less-specific
+        routes), so an address may appear more than once; consumers
+        that need uniqueness dedupe downstream — :meth:`Scanner.scan`
+        already does.
+        """
+        for prefix in sorted(self.runs):
+            yield from self.runs[prefix].iter_targets()
+
+    def iter_target_columns(
+        self,
+    ) -> "Iterator[tuple[np.ndarray, np.ndarray]]":
+        """Stream packed ``(hi, lo)`` column chunks prefix by prefix.
+
+        The column analogue of :meth:`iter_targets`: one chunk per
+        prefix, in sorted prefix order, each in densest-cluster-first
+        order, never materialising the campaign union.  Overlapping
+        routed prefixes can repeat an address across chunks;
+        :meth:`Scanner.scan` dedupes streamed column chunks with its
+        fused-key pass, so feeding this straight in is correct.
+        """
+        for prefix in sorted(self.runs):
+            yield self.runs[prefix].target_columns()
 
 
 def _run_in_process(
-    item: tuple[Prefix, list[int], int, bool, str, int | None],
+    item: tuple[Prefix, list[int], int, bool],
     telemetry: Telemetry | None,
     paused: "dict[Prefix, SixGen] | None",
 ) -> SixGenResult:
@@ -38,17 +111,12 @@ def _run_in_process(
     back for the next call.  The run is taken out first, so one that
     raises is dropped and the retry starts fresh.
     """
-    prefix, seeds, prefix_budget, loose, ledger, rng_seed = item
+    prefix, seeds, prefix_budget, loose = item
     if paused is None:
-        return run_6gen(
-            seeds, prefix_budget, loose=loose, ledger=ledger,
-            rng_seed=rng_seed, telemetry=telemetry,
-        )
+        return run_6gen(seeds, prefix_budget, loose=loose, telemetry=telemetry)
     run = paused.pop(prefix, None)
     if run is None:
-        config = SixGenConfig(
-            budget=prefix_budget, loose=loose, ledger=ledger, rng_seed=rng_seed
-        )
+        config = SixGenConfig(budget=prefix_budget, loose=loose)
         run = SixGen(seeds, config, telemetry=telemetry)
         result = run.run()
     else:
@@ -65,8 +133,8 @@ _COLUMN_SHM_MIN_BYTES = 1 << 16
 
 
 def _run_one_columns(
-    args: tuple[Prefix, list[int], int, bool, str, int | None],
-) -> tuple[Prefix, list[int], int, SixGenResult, tuple]:
+    args: tuple[Prefix, list[int], int, bool],
+) -> tuple[SixGenResult, tuple]:
     """Pool worker that also materialises packed target columns.
 
     The expensive part of a prefix run after clustering — expanding the
@@ -81,10 +149,8 @@ def _run_one_columns(
     """
     from ..scanner.shm import publish_arrays
 
-    prefix, seeds, prefix_budget, loose, ledger, rng_seed = args
-    result = run_6gen(
-        seeds, prefix_budget, loose=loose, ledger=ledger, rng_seed=rng_seed
-    )
+    _, seeds, prefix_budget, loose = args
+    result = run_6gen(seeds, prefix_budget, loose=loose)
     hi, lo = result.target_columns_by_density()
     result._targets = None
     result._covered = None
@@ -95,8 +161,8 @@ def _run_one_columns(
         except OSError:  # pragma: no cover - /dev/shm unavailable
             pass
         else:
-            return prefix, seeds, prefix_budget, result, ("shm", spec)
-    return prefix, seeds, prefix_budget, result, ("raw", hi, lo)
+            return result, ("shm", spec)
+    return result, ("raw", hi, lo)
 
 
 def _adopt_columns(result: SixGenResult, payload: tuple) -> None:
@@ -112,13 +178,9 @@ def _adopt_columns(result: SixGenResult, payload: tuple) -> None:
 
 def generate_per_prefix(
     groups: Mapping[Prefix, Sequence[int]],
-    budget: int,
+    budget: int | Mapping[Prefix, int],
     *,
     loose: bool = True,
-    ledger: str = "exact",
-    budget_policy: BudgetPolicy = static_budget,
-    min_seeds: int = 1,
-    rng_seed: int | None = 0,
     processes: int | None = None,
     telemetry: Telemetry | None = None,
     isolate_failures: bool = True,
@@ -127,21 +189,22 @@ def generate_per_prefix(
 ) -> MultiPrefixRun:
     """Run 6Gen on every routed prefix's seed group.
 
-    ``budget_policy`` decides each prefix's budget from the base value;
-    prefixes with fewer than ``min_seeds`` seeds are skipped (the paper
-    omits <10-seed prefixes from some analyses but still scans them, so
-    the default keeps everything).
+    ``budget`` is either one probe budget for every prefix (the paper's
+    static allocation) or a mapping from each prefix to its own budget
+    (a phased campaign's quotas, or the §8 seed-proportional split).
+    Prefixes without seeds are skipped.
 
     ``processes`` > 1 runs prefixes in a process pool — the
     parallelisation axis §5.6 mentions ("we could parallelize execution
     across different prefixes").  Results are identical to the serial
     path because every prefix run is independently seeded.
 
-    ``telemetry`` records a ``generate`` span, per-prefix ``progress``
-    events, and aggregate counters.  In the process-pool path the
-    per-run counters still aggregate (in the parent, from each
-    returned result); only the in-process per-prefix ``sixgen`` spans
-    are unavailable, since telemetry objects stay in the parent.
+    ``telemetry`` records a ``generate`` span (its ``budget`` is the
+    sum of the per-prefix budgets), per-prefix ``progress`` events, and
+    aggregate counters.  In the process-pool path the per-run counters
+    still aggregate (in the parent, from each returned result); only
+    the in-process per-prefix ``sixgen`` spans are unavailable, since
+    telemetry objects stay in the parent.
 
     With ``isolate_failures`` (the default) a prefix whose 6Gen run
     raises does not kill the campaign: the run is retried once
@@ -164,16 +227,20 @@ def generate_per_prefix(
     work = []
     for prefix in sorted(groups):
         seeds = [int(s) for s in groups[prefix]]
-        if len(seeds) < min_seeds:
-            continue
-        prefix_budget = budget_policy(prefix, seeds, budget)
-        work.append((prefix, seeds, prefix_budget, loose, ledger, rng_seed))
+        if seeds:
+            prefix_budget = (
+                budget[prefix] if isinstance(budget, Mapping) else budget
+            )
+            work.append((prefix, seeds, prefix_budget, loose))
 
     out = MultiPrefixRun()
     started = time.perf_counter()
     targets_total = 0
-    targets_known = True
-    with tele.span("generate", prefixes=len(work), budget=budget):
+    with tele.span(
+        "generate",
+        prefixes=len(work),
+        budget=sum(item[2] for item in work),
+    ):
         if processes and processes > 1 and len(work) > 1:
             from concurrent.futures import ProcessPoolExecutor
 
@@ -192,10 +259,9 @@ def generate_per_prefix(
                     for item in work
                 ]
                 for item, future in futures:
+                    prefix, seeds, prefix_budget = item[:3]
                     try:
-                        prefix, seeds, prefix_budget, result, payload = (
-                            future.result()
-                        )
+                        result, payload = future.result()
                     except Exception:
                         if not isolate_failures:
                             raise
@@ -204,12 +270,10 @@ def generate_per_prefix(
                         # would have produced.
                         tele.count("generate.prefix_retries")
                         try:
-                            prefix, seeds, prefix_budget, result, payload = (
-                                _run_one_columns(item)
-                            )
+                            result, payload = _run_one_columns(item)
                         except Exception as exc2:
                             _record_prefix_failure(
-                                tele, out, item[0], exc2, len(work),
+                                tele, out, prefix, exc2, len(work),
                                 progress_sink,
                             )
                             continue
@@ -268,18 +332,14 @@ def generate_per_prefix(
                     prefix=prefix, seeds=seeds, budget=prefix_budget,
                     result=result,
                 )
-                if result._covered is not None:
-                    targets = result.target_count()
-                    targets_total += targets
-                else:
-                    targets = None
-                    targets_known = False
+                targets = result.target_count()
+                targets_total += targets
                 _record_prefix_run(
                     tele, out.runs[prefix], len(work), progress_sink,
                     targets=targets,
                 )
     elapsed = time.perf_counter() - started
-    if tele.enabled and targets_known and out.runs and elapsed > 0:
+    if tele.enabled and out.runs and elapsed > 0:
         # Campaign-level rate; overwrites any per-run gauge from the
         # serial path's nested run_6gen calls (last write wins), which
         # is the value `repro report` should show.
@@ -293,14 +353,11 @@ def _record_prefix_run(
     total: int,
     sink=None,
     *,
-    targets: int | None = None,
+    targets: int,
 ) -> None:
     """Per-prefix progress accounting (no-op for null telemetry).
 
-    ``targets`` is the prefix's distinct generated-target count when the
-    caller knows it (exact ledger or column path); ``None`` means
-    unknown (range-sum ledger, where materialising the set just to
-    count it would defeat the ledger's purpose).
+    ``targets`` is the prefix's distinct generated-target count.
     """
     if sink is not None:
         sink.emit(
@@ -316,17 +373,18 @@ def _record_prefix_run(
     telemetry.count("generate.prefixes")
     telemetry.count("generate.budget_used", run.result.budget_used)
     telemetry.count("generate.clusters", len(run.result.clusters))
-    event = {
-        "stage": "6gen",
-        "prefix": str(run.prefix),
-        "seeds": len(run.seeds),
-        "budget_used": run.result.budget_used,
-        "iterations": run.result.iterations,
-        "total_prefixes": total,
-    }
-    if targets is not None:
-        event["targets"] = targets
-    telemetry.event("progress", event)
+    telemetry.event(
+        "progress",
+        {
+            "stage": "6gen",
+            "prefix": str(run.prefix),
+            "seeds": len(run.seeds),
+            "budget_used": run.result.budget_used,
+            "iterations": run.result.iterations,
+            "total_prefixes": total,
+            "targets": targets,
+        },
+    )
 
 
 def _record_prefix_failure(

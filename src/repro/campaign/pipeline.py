@@ -10,11 +10,9 @@ ordering + budgeted probing with retry rounds
 
 Two ways to drive it:
 
-* :meth:`Campaign.run` — the monolithic path.  This is exactly the
-  body the old ``run_full_scan`` executed (same calls, same order,
-  same telemetry), so results are bit-identical to the pre-refactor
-  pipeline at any worker count; ``run_full_scan`` is now a thin
-  wrapper over it.
+* :meth:`Campaign.run` — the monolithic path: generate, then
+  ``Scanner.scan`` (which keeps its pool paths for round 0 at
+  ``workers > 1``), then dealias.
 * :meth:`Campaign.begin` / :meth:`step` / :meth:`finish` — the
   stepwise path, built on :class:`~repro.scanner.execution.ScanExecution`.
   Each ``step()`` probes one batch; a scheduler (the multi-tenant
@@ -22,6 +20,9 @@ Two ways to drive it:
   over one process.  Because every probe verdict is a pure function of
   ``(key, address, attempt)``, interleaving never changes what any one
   campaign observes.
+
+Both paths share one generation step (:meth:`Campaign._generate`),
+which phased campaigns also run once per phase.
 """
 
 from __future__ import annotations
@@ -33,12 +34,11 @@ from ..scanner.dealias import DealiasReport, dealias
 from ..scanner.engine import ScanConfig, Scanner
 from ..scanner.probe import ScanResult, ScanStats
 from ..telemetry.spans import Telemetry, ensure
-from .generate import generate_per_prefix
+from .generate import MultiPrefixRun, generate_per_prefix
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     import numpy as np
 
-    from ..analysis.grouping import MultiPrefixRun
     from ..faults.models import WorkerCrash
     from ..ipv6.addrplane import PrefixMaskTable
     from ..ipv6.prefix import Prefix
@@ -171,9 +171,9 @@ class Campaign:
     budget (``spec.budget`` × prefix count) is re-split across
     prefixes at every phase boundary from live per-prefix feedback,
     each phase generating and scanning only its slice's fresh targets.
-    With ``allocation=None`` (the default) nothing changes: the
-    single-phase paths below are byte-for-byte the pre-hook behaviour.
-    ``budget_ledger`` optionally bounds phase planning by a shared
+    With ``allocation=None`` (the default) the campaign runs one phase
+    at ``spec.budget`` per prefix.  ``budget_ledger`` optionally bounds
+    phase planning by a shared
     :class:`~repro.scanner.schedule.TenantBudget` (the service passes
     its tenant's ledger, so re-splits never plan past the tenant cap).
     """
@@ -259,11 +259,10 @@ class Campaign:
     def run(self, *, resume: bool = False, crash: "WorkerCrash | None" = None):
         """Run the whole campaign to completion and return its result.
 
-        This is the pre-refactor ``run_full_scan`` body verbatim —
-        ``Scanner.scan`` keeps its pool paths for round 0 at
-        ``workers > 1`` — so hits and stats are bit-identical to the
-        old monolithic pipeline.  Phased campaigns (``allocation``
-        set) run the stepwise path to completion instead.
+        Generation, then ``Scanner.scan`` (which keeps its pool paths
+        for round 0 at ``workers > 1``), then dealiasing, all under one
+        ``full_scan`` span.  Phased campaigns (``allocation`` set) run
+        the stepwise path to completion instead.
         """
         if self.allocation is not None:
             self.begin(resume=resume, crash=crash)
@@ -271,21 +270,14 @@ class Campaign:
                 pass
             return self.finish()
         spec = self.spec
-        ckpt_sink, checkpointer, resume_state = self._open_checkpoint(resume)
+        self._ckpt_sink, checkpointer, resume_state = self._open_checkpoint(
+            resume
+        )
         try:
             with self._tele.span(
                 "full_scan", budget=spec.budget, port=spec.port
             ):
-                if self.targets is not None:
-                    run = None
-                    scan_targets = self.targets
-                else:
-                    run = generate_per_prefix(
-                        self.groups, spec.budget, loose=spec.loose,
-                        telemetry=self.telemetry, progress_sink=ckpt_sink,
-                        processes=spec.gen_workers,
-                    )
-                    scan_targets = run.iter_target_columns()
+                scan_targets = self._scan_targets()
                 scanner = Scanner(
                     self.truth, config=spec.scan_config,
                     telemetry=self.telemetry,
@@ -296,11 +288,9 @@ class Campaign:
                 )
                 report = self._dealias(scanner, scan.hits)
         finally:
-            if ckpt_sink is not None:
-                ckpt_sink.close()
-        self.run_output = run
+            self._close()
         self.state = "finished"
-        self.result = CampaignResult(run=run, scan=scan, report=report)
+        self.result = CampaignResult(run=self.run_output, scan=scan, report=report)
         return self.result
 
     # -- the stepwise path (what the service drives) -------------------
@@ -334,15 +324,7 @@ class Campaign:
         )
         self._span.__enter__()
         try:
-            if self.targets is not None:
-                scan_targets = self.targets
-            else:
-                self.run_output = generate_per_prefix(
-                    self.groups, spec.budget, loose=spec.loose,
-                    telemetry=self.telemetry, progress_sink=self._ckpt_sink,
-                    processes=spec.gen_workers,
-                )
-                scan_targets = self.run_output.iter_target_columns()
+            scan_targets = self._scan_targets()
             self._scanner = Scanner(
                 self.truth, config=spec.scan_config, telemetry=self.telemetry
             )
@@ -519,7 +501,6 @@ class Campaign:
 
         from ..ipv6.addrplane import dedupe_columns, fuse
 
-        spec = self.spec
         for prefix in sorted(allocations):
             self._gen_quota[prefix] = (
                 self._gen_quota.get(prefix, 0) + allocations[prefix]
@@ -532,17 +513,7 @@ class Campaign:
         if not active:
             return {}
         flagged = _flagged_table(self._alias_verdicts)
-        quota = dict(self._gen_quota)
-        self.run_output = generate_per_prefix(
-            active,
-            0,
-            loose=spec.loose,
-            budget_policy=lambda prefix, seeds, base: quota[prefix],
-            telemetry=self.telemetry,
-            progress_sink=self._ckpt_sink,
-            processes=spec.gen_workers,
-            paused=self._paused,
-        )
+        self._generate(active, self._gen_quota, self._paused)
         if self._phase >= self.allocation.phases - 1:
             self._paused.clear()
         phase_cols: dict = {}
@@ -873,6 +844,30 @@ class Campaign:
             self._drained = True
 
     # -- shared internals ----------------------------------------------
+
+    def _generate(
+        self,
+        groups: "Mapping[Prefix, Sequence[int]]",
+        budget: "int | Mapping[Prefix, int]",
+        paused: "dict | None" = None,
+    ) -> MultiPrefixRun:
+        """The generation step every path runs: 6Gen per routed prefix."""
+        self.run_output = generate_per_prefix(
+            groups,
+            budget,
+            loose=self.spec.loose,
+            telemetry=self.telemetry,
+            progress_sink=self._ckpt_sink,
+            processes=self.spec.gen_workers,
+            paused=paused,
+        )
+        return self.run_output
+
+    def _scan_targets(self):
+        """A single-phase scan's input: explicit targets or generated chunks."""
+        if self.targets is not None:
+            return self.targets
+        return self._generate(self.groups, self.spec.budget).iter_target_columns()
 
     def _open_checkpoint(self, resume: bool):
         if self.checkpoint_path is not None:

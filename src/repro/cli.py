@@ -814,22 +814,23 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 def _cmd_report(args: argparse.Namespace) -> int:
     if str(args.output).endswith(".jsonl") or args.against:
         return _cmd_report_telemetry(args)
-    from .analysis.experiments import run_full_scan, standard_context
     from .analysis.report import scan_report
+    from .campaign import Campaign, CampaignSpec
 
-    context = standard_context(args.scale)
-    outcome = run_full_scan(
-        context, args.budget, gen_workers=getattr(args, "gen_workers", None)
-    )
+    context = ex.standard_context(args.scale)
+    result = Campaign(
+        context.internet.truth, context.internet.bgp, context.groups,
+        CampaignSpec(budget=args.budget, gen_workers=args.gen_workers),
+    ).run()
     text = scan_report(
-        outcome,
+        context, args.budget, result,
         title=f"IPv6 scan report (scale {args.scale}, budget {args.budget}/prefix)",
     )
     with open(args.output, "w", encoding="utf-8") as handle:
         handle.write(text + "\n")
     print(f"report written -> {args.output}")
-    print(f"raw hits: {len(outcome.raw_hits)}, "
-          f"dealiased: {len(outcome.clean_hits)}")
+    print(f"raw hits: {len(result.raw_hits)}, "
+          f"dealiased: {len(result.clean_hits)}")
     return 0
 
 

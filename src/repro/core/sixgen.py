@@ -119,7 +119,7 @@ class SixGenResult:
     )
     # Cached densest-first (hi, lo) columns.  Populated by
     # target_columns_by_density() and by the parallel per-prefix
-    # transport (see repro.analysis.grouping), which ships columns via
+    # transport (see repro.campaign.generate), which ships columns via
     # shared memory instead of pickling the _targets set.
     _columns: "tuple[np.ndarray, np.ndarray] | None" = field(
         default=None, compare=False, repr=False

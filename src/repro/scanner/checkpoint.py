@@ -35,8 +35,8 @@ hits at the *start* of the round — a boundary checkpoint keeps that
 derivation exact on resume.
 
 Other events (e.g. the per-prefix ``prefix_generated`` progress lines
-``run_full_scan`` interleaves) pass through unharmed: the loader skips
-anything it does not recognise.
+a :class:`~repro.campaign.Campaign` interleaves during generation) pass
+through unharmed: the loader skips anything it does not recognise.
 """
 
 from __future__ import annotations

@@ -114,11 +114,13 @@ class TestRangeSumLedger:
         assert ledger.used == 0
 
     def test_charge_partial_records_sampled(self):
+        # The picks are returned, not kept: distinct, all in new \ old.
         ledger = RangeSumLedger(5, [])
         old, new = _ranges()
         picked = ledger.charge_partial(new, old, random.Random(0))
-        assert len(picked) == 5
-        assert ledger.sampled == picked
+        assert len(picked) == len(set(picked)) == 5
+        assert all(new.contains(a) and not old.contains(a) for a in picked)
+        assert ledger.used == 5
 
 
 class TestFactory:

@@ -61,14 +61,16 @@ class TestCampaignParity:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_run_full_scan_wrapper_matches_campaign(self, workers):
+        # The wrapper is a campaign at default settings; the scan's
+        # worker count never changes the result.
         context = _context()
-        config = ScanConfig(batch_size=128, retries=1, workers=workers)
-        outcome = ex.run_full_scan(context, BUDGET, scan_config=config)
-        result = _campaign(context, _spec(scan_config=config)).run()
-        assert outcome.raw_hits == result.raw_hits
-        assert outcome.clean_hits == result.clean_hits
-        assert outcome.probes_sent == result.probes_sent
-        assert outcome.targets_generated == result.targets_generated
+        wrapped = ex.run_full_scan(context, BUDGET)
+        spec = CampaignSpec(budget=BUDGET, scan_config=ScanConfig(workers=workers))
+        result = _campaign(context, spec).run()
+        assert wrapped.raw_hits == result.raw_hits
+        assert wrapped.scan.stats == result.scan.stats
+        assert wrapped.clean_hits == result.clean_hits
+        assert wrapped.targets_generated == result.targets_generated
 
     def test_stepwise_matches_monolithic(self):
         context = _context()

@@ -159,40 +159,43 @@ class TestFig5Cdfs:
             assert fracs[-1] == pytest.approx(1.0)
 
 
+def _campaign(spec, checkpoint_path=None):
+    from repro.campaign import Campaign
+
+    context = ex.standard_context(SCALE)
+    return Campaign(
+        context.internet.truth, context.internet.bgp, context.groups, spec,
+        checkpoint_path=checkpoint_path,
+    )
+
+
 class TestCampaignResume:
     def test_crash_resume_matches_uninterrupted(self, tmp_path):
+        from dataclasses import replace
+
+        from repro.campaign import CampaignSpec
         from repro.faults import InjectedWorkerCrash, WorkerCrash
         from repro.scanner.engine import ScanConfig
 
-        config = ScanConfig(batch_size=64, retries=1)
-        baseline = ex.run_full_scan(
-            ex.standard_context(SCALE), BUDGET, scan_config=config
+        spec = CampaignSpec(
+            budget=BUDGET, scan_config=ScanConfig(batch_size=64, retries=1)
         )
+        baseline = _campaign(spec).run()
 
         path = str(tmp_path / "campaign.jsonl")
         with pytest.raises(InjectedWorkerCrash):
-            ex.run_full_scan(
-                ex.standard_context(SCALE), BUDGET, scan_config=config,
-                checkpoint_path=path, checkpoint_every=2,
-                crash=WorkerCrash(at_batch=3),
+            _campaign(replace(spec, checkpoint_every=2), path).run(
+                crash=WorkerCrash(at_batch=3)
             )
-        resumed = ex.run_full_scan(
-            ex.standard_context(SCALE), BUDGET, scan_config=config,
-            checkpoint_path=path, resume=True,
-        )
+        resumed = _campaign(spec, path).run(resume=True)
         assert resumed.raw_hits == baseline.raw_hits
         assert resumed.clean_hits == baseline.clean_hits
         assert resumed.probes_sent == baseline.probes_sent
 
-    def test_resume_without_path_rejected(self):
-        with pytest.raises(ValueError):
-            ex.run_full_scan(ex.standard_context(SCALE), BUDGET, resume=True)
-
     def test_resume_with_empty_file_starts_fresh(self, tmp_path):
+        from repro.campaign import CampaignSpec
+
         path = str(tmp_path / "missing.jsonl")
-        outcome = ex.run_full_scan(
-            ex.standard_context(SCALE), BUDGET, checkpoint_path=path,
-            resume=True,
-        )
+        result = _campaign(CampaignSpec(budget=BUDGET), path).run(resume=True)
         baseline = ex.run_full_scan(ex.standard_context(SCALE), BUDGET)
-        assert outcome.raw_hits == baseline.raw_hits
+        assert result.raw_hits == baseline.raw_hits

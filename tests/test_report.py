@@ -5,16 +5,23 @@ import pytest
 from repro.analysis.experiments import run_full_scan, standard_context
 from repro.analysis.report import scan_report
 
+BUDGET = 1500
+
 
 @pytest.fixture(scope="module")
 def outcome():
     context = standard_context(0.05)
-    return run_full_scan(context, 1500)
+    return context, run_full_scan(context, BUDGET)
+
+
+def _report(outcome, **kwargs):
+    context, result = outcome
+    return scan_report(context, BUDGET, result, **kwargs)
 
 
 class TestScanReport:
     def test_sections_present(self, outcome):
-        text = scan_report(outcome)
+        text = _report(outcome)
         for heading in (
             "# IPv6 scan report",
             "## Run summary",
@@ -27,16 +34,17 @@ class TestScanReport:
             assert heading in text
 
     def test_custom_title(self, outcome):
-        assert scan_report(outcome, title="My Title").startswith("# My Title")
+        assert _report(outcome, title="My Title").startswith("# My Title")
 
     def test_numbers_consistent(self, outcome):
-        text = scan_report(outcome)
-        assert f"**{len(outcome.raw_hits)}**" in text
-        assert f"**{len(outcome.clean_hits)}**" in text
-        assert f"**{outcome.budget}**" in text
+        text = _report(outcome)
+        _, result = outcome
+        assert f"**{len(result.raw_hits)}**" in text
+        assert f"**{len(result.clean_hits)}**" in text
+        assert f"**{BUDGET}**" in text
 
     def test_as_tables_are_markdown(self, outcome):
-        text = scan_report(outcome)
+        text = _report(outcome)
         assert "| AS | ASN | addresses | share |" in text
         # markdown tables need their separator rows
         assert text.count("|---|---|---|---|") >= 3
