@@ -275,7 +275,11 @@ def tight_vs_loose(
     context = standard_context(scale)
     rows = []
     for mode, loose in (("loose", True), ("tight", False)):
-        outcome = run_full_scan(context, budget, loose=loose)
+        outcome = (
+            standard_outcome(budget, scale)
+            if loose
+            else run_full_scan(context, budget, loose=False)
+        )
         rows.append(
             TightLooseRow(
                 mode=mode,
@@ -534,10 +538,10 @@ def table2_downsampling(
     results: dict[float, tuple[int, int]] = {}
     for level in sorted(set(levels) | {1.0}):
         if level == 1.0:
-            sample_addrs = context.seed_addresses
+            outcome = standard_outcome(budget, scale)
         else:
             sample_addrs = context.seeds.downsample(level).addresses()
-        outcome = run_full_scan(context, budget, seed_addrs=sample_addrs)
+            outcome = run_full_scan(context, budget, seed_addrs=sample_addrs)
         results[level] = (len(outcome.raw_hits), len(outcome.clean_hits))
     full_raw, full_clean = results[1.0]
     rows = []

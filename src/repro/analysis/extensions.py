@@ -31,6 +31,7 @@ from .experiments import (
     DEFAULT_SCALE,
     run_full_scan,
     standard_context,
+    standard_outcome,
 )
 
 
@@ -139,7 +140,11 @@ def probe_type_experiment(
     truth = context.internet.truth
     rows = []
     for label, port in (("TCP/80", 80), ("ICMPv6", ICMPV6)):
-        outcome = run_full_scan(context, budget, port=port)
+        outcome = (
+            standard_outcome(budget, scale)
+            if port == 80
+            else run_full_scan(context, budget, port=port)
+        )
         rows.append(
             ProbeTypeRow(
                 probe=label,
@@ -190,16 +195,21 @@ def seed_type_experiment(
     from ..simnet.dns import seeds_of_type
 
     context = standard_context(scale)
+    all_seeds = context.seed_addresses
     rows = []
     for record_type, seeds in (
-        ("AAAA (all)", context.seed_addresses),
+        ("AAAA (all)", all_seeds),
         ("NS", context.seeds.ns_addresses()),
         ("MX", seeds_of_type(context.seeds, ["MX"])),
     ):
         if not seeds:
             rows.append(SeedTypeRow(record_type, 0, 0, 0))
             continue
-        outcome = run_full_scan(context, budget, seed_addrs=seeds)
+        outcome = (
+            standard_outcome(budget, scale)
+            if seeds is all_seeds
+            else run_full_scan(context, budget, seed_addrs=seeds)
+        )
         rows.append(
             SeedTypeRow(
                 record_type=record_type,
@@ -253,7 +263,11 @@ def seed_prefilter_experiment(
         ("active seeds", active),
         ("active+dealiased", dealiased_active),
     ):
-        outcome = run_full_scan(context, budget, seed_addrs=seeds)
+        outcome = (
+            standard_outcome(budget, scale)
+            if seeds is all_seeds
+            else run_full_scan(context, budget, seed_addrs=seeds)
+        )
         rows.append(
             PrefilterRow(
                 variant=variant,

@@ -5,7 +5,7 @@ Pipeline: per-nybble entropy → segmentation → per-segment value mining
 points: :func:`run_entropy_ip` and :func:`fit_entropy_ip`.
 """
 
-from .bayes import BayesChain, BayesNetwork
+from .bayes import BayesNetwork
 from .budgeted import (
     PatternRegion,
     generate_budget_aware,
@@ -18,7 +18,6 @@ from .mining import SegmentModel, ValueAtom, mine_segment_values
 from .segments import Segment, segment_addresses, segment_positions
 
 __all__ = [
-    "BayesChain",
     "BayesNetwork",
     "PatternRegion",
     "generate_budget_aware",

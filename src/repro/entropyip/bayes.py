@@ -20,11 +20,9 @@ best-first enumeration of atom vectors in descending probability.
 
 from __future__ import annotations
 
-import bisect
 import heapq
 import itertools
 import math
-import random
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -154,28 +152,6 @@ class BayesNetwork:
         return self.cpts[self.order[0]].probabilities[0]
 
     # -- sampling ----------------------------------------------------------
-    def sample_atoms(self, rng: random.Random) -> tuple[int, ...]:
-        """Draw one atom-index vector (in segment order) from the joint."""
-        assignment: list[int] = [0] * len(self.models)
-        for node in self.order:
-            parent = self.parents[node]
-            row = 0 if parent is None else assignment[parent]
-            assignment[node] = self._draw(self.cpts[node].cumulative[row], rng)
-        return tuple(assignment)
-
-    @staticmethod
-    def _draw(cumulative: list[float], rng: random.Random) -> int:
-        x = rng.random() * cumulative[-1]
-        return min(bisect.bisect_left(cumulative, x), len(cumulative) - 1)
-
-    def sample_address(self, rng: random.Random) -> int:
-        """Draw one full address: sample atoms, then values within atoms."""
-        addr = 0
-        for model, atom_idx in zip(self.models, self.sample_atoms(rng)):
-            value = model.atoms[atom_idx].sample(rng)
-            addr = model.segment.insert(addr, value)
-        return addr
-
     def sample_atoms_arr(self, u: np.ndarray) -> np.ndarray:
         """Batched ancestral sampling from explicit uniform draws.
 
@@ -184,11 +160,11 @@ class BayesNetwork:
         a ``(count, k)`` int64 atom-index matrix in *segment* order.
 
         Each draw is ``searchsorted(cumulative_row, u * total)`` — the
-        same float64 comparisons as the scalar :meth:`_draw`'s
-        ``bisect_left``, so for identical uniforms the verdicts are
-        bit-identical.  Conditioned nodes group rows by the parent's
-        sampled atom and search each CPT row's cumulative vector once
-        per present parent value.
+        same float64 comparisons as the ``bisect_left`` of the scalar
+        oracle ``EntropyIPModel.sample_addresses_reference``, so for
+        identical uniforms the verdicts are bit-identical.  Conditioned
+        nodes group rows by the parent's sampled atom and search each
+        CPT row's cumulative vector once per present parent value.
         """
         count = len(u)
         assignment = np.zeros((count, len(self.models)), dtype=np.int64)
@@ -289,14 +265,3 @@ class BayesNetwork:
             bounds.append((atom.low, atom.high))
         return bounds
 
-
-class BayesChain(BayesNetwork):
-    """Chain-structured network (the historical default)."""
-
-    def __init__(
-        self,
-        models: Sequence[SegmentModel],
-        seeds: Sequence[int],
-        alpha: float = 0.5,
-    ):
-        super().__init__(models, seeds, alpha=alpha, structure="chain")

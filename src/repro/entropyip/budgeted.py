@@ -26,7 +26,13 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+import numpy as np
+
+from ..ipv6.addrplane import unpack
 from .generator import EntropyIPConfig, EntropyIPModel, fit_entropy_ip
+
+#: Regions larger than this are sampled instead of enumerated.
+_MAX_EXPANDED_REGION = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -98,20 +104,18 @@ def generate_budget_aware(
 def _expand_region(
     model: EntropyIPModel, region: PatternRegion, rng: random.Random
 ) -> list[int]:
-    """All concrete addresses of one atom-vector region.
+    """All concrete addresses of one atom-vector region, ascending.
 
     Regions are bounded by the caller's budget logic; truly enormous
-    regions (beyond 1 M addresses) are sampled instead of enumerated.
+    regions (beyond ``_MAX_EXPANDED_REGION`` addresses) contribute that
+    many distinct addresses drawn by :meth:`EntropyIPModel.sample_region`
+    instead of being enumerated.
     """
-    if region.size > 1_000_000:
-        out: set[int] = set()
-        while len(out) < 1_000_000:
-            addr = 0
-            for seg_model, atom_idx in zip(model.segment_models, region.atoms):
-                value = seg_model.atoms[atom_idx].sample(rng)
-                addr = seg_model.segment.insert(addr, value)
-            out.add(addr)
-        return sorted(out)
+    if region.size > _MAX_EXPANDED_REGION:
+        draws = np.random.default_rng(rng.getrandbits(64))
+        hi, lo = model.sample_region(region.atoms, _MAX_EXPANDED_REGION, draws)
+        order = np.lexsort((lo, hi))
+        return unpack(hi[order], lo[order])
 
     out_list: list[int] = [0]
     for seg_model, atom_idx in zip(model.segment_models, region.atoms):

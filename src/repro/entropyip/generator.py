@@ -13,19 +13,13 @@ modelled (the 6Gen paper highlights exactly this difference in §7.1).
 from __future__ import annotations
 
 import bisect
-import random
 import time
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from ..ipv6.addrplane import (
-    ColumnDeduper,
-    FrozenKeySet,
-    concat_columns,
-    pack,
-)
+from ..ipv6.addrplane import ColumnDeduper, FrozenKeySet, concat_columns, unpack
 from ..ipv6.nybble import NYBBLE_COUNT
 from ..telemetry.spans import Telemetry, ensure
 from .bayes import BayesNetwork
@@ -33,9 +27,13 @@ from .entropy import nybble_entropies
 from .mining import SegmentModel, mine_segment_values
 from .segments import Segment, segment_positions
 
-#: Draw granularity of the vectorised sampler (amortises numpy call
-#: overhead without over-drawing small budgets by much).
+#: Draw granularity of the sampler (amortises numpy call overhead
+#: without over-drawing small budgets by much).
 _SAMPLE_CHUNK = 16_384
+
+#: Give up sampling once this many consecutive draws brought no fresh
+#: address: the model's support may be smaller than the budget.
+_MAX_STALE_DRAWS = 200_000
 
 
 @dataclass
@@ -43,6 +41,8 @@ class EntropyIPConfig:
     """Tuning knobs for the Entropy/IP pipeline."""
 
     segment_threshold: float = 0.1
+    #: Widest segment in nybbles, 1..16, so that every segment value
+    #: fits one ``uint64`` column.
     segment_max_width: int = 4
     heavy_hitter_fraction: float = 0.05
     max_exact_values: int = 16
@@ -55,9 +55,81 @@ class EntropyIPConfig:
     #: "nybble" (additionally split at top-nybble boundaries).
     mining_split_mode: str = "gap"
     rng_seed: int | None = 0
-    #: Give up generating once this many consecutive samples are duplicates;
-    #: the model's support may be smaller than the requested budget.
-    max_stale_draws: int = 200_000
+
+    def __post_init__(self) -> None:
+        if not 1 <= self.segment_max_width <= 16:
+            raise ValueError(
+                f"segment_max_width must be in 1..16: {self.segment_max_width}"
+            )
+
+
+def assemble_columns(
+    models: Sequence[SegmentModel], atoms: np.ndarray, v: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Pack one value per segment, drawn inside its chosen atom.
+
+    ``atoms`` is a ``(count, k)`` atom-index matrix in segment order and
+    ``v`` a ``(count, k)`` float64 array of uniforms in [0, 1): segment
+    ``i`` takes ``low + floor(v[:, i] * span)`` of atom ``atoms[:, i]``.
+    Returns packed ``(hi, lo)`` columns.
+    """
+    count = len(atoms)
+    hi = np.zeros(count, dtype=np.uint64)
+    lo = np.zeros(count, dtype=np.uint64)
+    for i, model in enumerate(models):
+        lows = np.array([a.low for a in model.atoms], dtype=np.uint64)
+        spans = np.array([a.span for a in model.atoms], dtype=np.float64)
+        chosen = atoms[:, i]
+        # floor(v * span) < span always (span <= 2**64 since segments
+        # are at most 16 nybbles wide, and v < 1), and uint64
+        # truncation == the scalar int() floor.
+        value = lows[chosen] + (v[:, i] * spans[chosen]).astype(np.uint64)
+        seg = model.segment
+        shift = 4 * (NYBBLE_COUNT - seg.end)
+        width_bits = 4 * seg.width
+        if shift >= 64:
+            hi |= value << np.uint64(shift - 64)
+        else:
+            # Straddling the /64 half boundary: the low-column shift
+            # wraps mod 2**64 (numpy uint64 semantics), keeping the
+            # in-range bits; the overflowed bits land in hi.
+            lo |= value << np.uint64(shift)
+            if shift + width_bits > 64:
+                hi |= value >> np.uint64(64 - shift)
+    return hi, lo
+
+
+def _sample_distinct(
+    draw: Callable[[int], tuple[np.ndarray, np.ndarray]],
+    budget: int,
+    excluded: FrozenKeySet | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Up to ``budget`` distinct addresses from chunks of ``draw(size)``.
+
+    Keeps first-drawn order, skips ``excluded`` addresses without
+    charging them, and stops early once ``_MAX_STALE_DRAWS``
+    consecutive draws brought nothing fresh (a chunk with no fresh
+    address counts its whole size).
+    """
+    dedupe = ColumnDeduper()
+    chunks: list[tuple[np.ndarray, np.ndarray]] = []
+    got = 0
+    stale = 0
+    while got < budget and stale < _MAX_STALE_DRAWS:
+        size = min(_SAMPLE_CHUNK, max(budget - got, 1024))
+        hi, lo = dedupe.add(*draw(size))
+        if excluded is not None and len(excluded) and len(hi):
+            keep = ~excluded.member(hi, lo)
+            hi, lo = hi[keep], lo[keep]
+        if not len(hi):
+            stale += size
+            continue
+        stale = 0
+        if got + len(hi) > budget:
+            hi, lo = hi[: budget - got], lo[: budget - got]
+        chunks.append((hi, lo))
+        got += len(hi)
+    return concat_columns(chunks)
 
 
 @dataclass
@@ -70,80 +142,76 @@ class EntropyIPModel:
     chain: BayesNetwork
     config: EntropyIPConfig
     seed_count: int
-    _rng: random.Random = field(repr=False, default_factory=random.Random)
 
     # -- generation ---------------------------------------------------------
     def generate(self, budget: int, *, exclude: Iterable[int] = ()) -> set[int]:
-        """Generate up to ``budget`` distinct target addresses by sampling.
+        """Generate up to ``budget`` distinct target addresses.
 
         ``exclude`` addresses (typically the training seeds) are never
-        emitted but also never charged against the budget.  Generation
-        stops early if the model keeps producing duplicates — its
-        support may simply be smaller than the budget.
+        emitted but also never charged against the budget.  When the
+        model's whole support fits the budget it is enumerated
+        (:meth:`generate_ordered`); otherwise :meth:`sample_columns`
+        draws chunks from a ``numpy`` stream seeded with the config's
+        ``rng_seed``, so two calls on one model return the same set.
+        Sampling stops early when the model keeps producing duplicates
+        or excluded addresses: its support may be smaller than the
+        budget.
         """
         if budget < 0:
             raise ValueError(f"budget must be non-negative: {budget}")
-        excluded = set(int(a) for a in exclude)
         # When the model's entire support fits in the budget, exhaustive
         # enumeration is both exact and far cheaper than sampling into
         # ever-increasing duplicate rates.
-        support = self.support_size()
-        if support <= budget:
+        if self.support_size() <= budget:
             return set(self.generate_ordered(budget, exclude=exclude))
-        targets: set[int] = set()
-        stale = 0
-        while len(targets) < budget and stale < self.config.max_stale_draws:
-            addr = self.chain.sample_address(self._rng)
-            if addr in targets or addr in excluded:
-                stale += 1
-                continue
-            stale = 0
-            targets.add(addr)
-        return targets
+        excluded = FrozenKeySet.from_ints(int(a) for a in exclude)
+        rng = np.random.default_rng(self.config.rng_seed)
+        k = len(self.segment_models)
+
+        def draw(size: int) -> tuple[np.ndarray, np.ndarray]:
+            u = rng.random((size, k))
+            v = rng.random((size, k))
+            return self.sample_columns(u, v)
+
+        return set(unpack(*_sample_distinct(draw, budget, excluded)))
 
     def sample_columns(
         self, u: np.ndarray, v: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorised address assembly from explicit uniform draws.
+        """Vectorised address sampling from explicit uniform draws.
 
         ``u`` and ``v`` are ``(count, k)`` float64 uniforms (``k`` =
         number of segments): ``u`` drives the Bayes-network atom draws
         (one column per topological depth), ``v`` picks the value inside
-        each chosen atom via ``low + floor(v * span)``.  Returns packed
+        each chosen atom (:func:`assemble_columns`).  Returns packed
         ``(hi, lo)`` columns.  :meth:`sample_addresses_reference`
-        consumes the same arrays through the scalar code path and is the
+        consumes the same arrays through a scalar loop and is the
         parity baseline: for identical inputs the outputs are
         bit-identical.
         """
-        if any(m.segment.width > 16 for m in self.segment_models):
-            raise ValueError(
-                "sample_columns requires segment widths <= 16 nybbles"
-            )
         atoms = self.chain.sample_atoms_arr(u)
-        count = len(u)
-        hi = np.zeros(count, dtype=np.uint64)
-        lo = np.zeros(count, dtype=np.uint64)
-        for i, model in enumerate(self.segment_models):
-            lows = np.array([a.low for a in model.atoms], dtype=np.uint64)
-            spans = np.array([a.span for a in model.atoms], dtype=np.float64)
-            chosen = atoms[:, i]
-            # floor(v * span) < span always (span <= 2**64 is exact in
-            # float64 here: spans are at most 16**width <= 2**64 and
-            # v < 1), and uint64 truncation == the scalar int() floor.
-            value = lows[chosen] + (v[:, i] * spans[chosen]).astype(np.uint64)
-            seg = model.segment
-            shift = 4 * (NYBBLE_COUNT - seg.end)
-            width_bits = 4 * seg.width
-            if shift >= 64:
-                hi |= value << np.uint64(shift - 64)
-            else:
-                # Straddling the /64 half boundary: the low-column shift
-                # wraps mod 2**64 (numpy uint64 semantics), keeping the
-                # in-range bits; the overflowed bits land in hi.
-                lo |= value << np.uint64(shift)
-                if shift + width_bits > 64:
-                    hi |= value >> np.uint64(64 - shift)
-        return hi, lo
+        return assemble_columns(self.segment_models, atoms, v)
+
+    def sample_region(
+        self, atoms: Sequence[int], count: int, rng: np.random.Generator
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``count`` distinct addresses drawn uniformly in one atom vector.
+
+        The vector (segment order) is fixed, so only the in-atom values
+        are drawn, through the same :func:`assemble_columns` as
+        :meth:`sample_columns`.  Returns fewer only when the vector's
+        region holds fewer addresses (the staleness cut-off).
+        """
+        k = len(self.segment_models)
+        vector = np.asarray(atoms, dtype=np.int64)
+
+        def draw(size: int) -> tuple[np.ndarray, np.ndarray]:
+            fixed = np.broadcast_to(vector, (size, k))
+            return assemble_columns(
+                self.segment_models, fixed, rng.random((size, k))
+            )
+
+        return _sample_distinct(draw, count)
 
     def sample_addresses_reference(
         self, u: np.ndarray, v: np.ndarray
@@ -176,77 +244,6 @@ class EntropyIPModel:
                 addr = model.segment.insert(addr, value)
             out.append(addr)
         return out
-
-    def generate_columns(
-        self,
-        budget: int,
-        *,
-        exclude: Iterable[int] = (),
-        telemetry: Telemetry | None = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Column-native :meth:`generate`: packed ``(hi, lo)`` targets.
-
-        Same contract (up to ``budget`` distinct addresses, ``exclude``
-        never emitted and never charged, stop early when the model keeps
-        producing duplicates) but the sampling loop runs in vectorised
-        chunks from an independent ``numpy`` RNG stream seeded with the
-        config's ``rng_seed``.  The draw stream differs from the scalar
-        :meth:`generate` (which consumes ``random.Random`` with a
-        data-dependent number of ``getrandbits`` per address), so the
-        two methods emit equally-distributed but not identical sets;
-        the exhaustive small-support path is shared and identical.
-        Staleness is accounted per chunk: a chunk with no fresh address
-        counts its whole size toward ``max_stale_draws``.
-        """
-        if budget < 0:
-            raise ValueError(f"budget must be non-negative: {budget}")
-        tele = ensure(telemetry)
-        start = time.perf_counter()
-        with tele.span("generate.entropy_ip", budget=budget):
-            support = self.support_size()
-            if support <= budget:
-                columns = pack(
-                    self.generate_ordered(budget, exclude=exclude)
-                )
-            else:
-                columns = self._sample_budget(budget, exclude)
-        if tele.enabled:
-            tele.count("generate.targets_total", len(columns[0]))
-            elapsed = time.perf_counter() - start
-            if elapsed > 0:
-                tele.gauge(
-                    "generate.targets_per_sec", len(columns[0]) / elapsed
-                )
-        return columns
-
-    def _sample_budget(
-        self, budget: int, exclude: Iterable[int]
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Chunked rejection sampling until budget or staleness."""
-        excluded = FrozenKeySet.from_ints(int(a) for a in exclude)
-        rng = np.random.default_rng(self.config.rng_seed)
-        k = len(self.segment_models)
-        dedupe = ColumnDeduper()
-        chunks: list[tuple[np.ndarray, np.ndarray]] = []
-        got = 0
-        stale = 0
-        while got < budget and stale < self.config.max_stale_draws:
-            size = min(_SAMPLE_CHUNK, max(budget - got, 1024))
-            u = rng.random((size, k))
-            v = rng.random((size, k))
-            hi, lo = dedupe.add(*self.sample_columns(u, v))
-            if len(excluded) and len(hi):
-                keep = ~excluded.member(hi, lo)
-                hi, lo = hi[keep], lo[keep]
-            if not len(hi):
-                stale += size
-                continue
-            stale = 0
-            if got + len(hi) > budget:
-                hi, lo = hi[: budget - got], lo[: budget - got]
-            chunks.append((hi, lo))
-            got += len(hi)
-        return concat_columns(chunks)
 
     def support_size(self) -> int:
         """Upper bound on distinct addresses the model can generate.
@@ -395,7 +392,6 @@ def fit_entropy_ip(
         chain=chain,
         config=config,
         seed_count=len(seeds),
-        _rng=random.Random(config.rng_seed),
     )
 
 
@@ -410,9 +406,10 @@ def run_entropy_ip(
     """Fit Entropy/IP on ``seeds`` and generate ``budget`` targets.
 
     The counterpart of :func:`repro.core.run_6gen` for head-to-head
-    comparisons (paper §7).  ``telemetry`` (optional) records the
-    ``generate.targets_total`` counter and ``generate.targets_per_sec``
-    gauge, mirroring the 6Gen run metrics.
+    comparisons (paper §7).  ``telemetry`` (optional) records one
+    ``generate.entropy_ip`` span, the ``generate.targets_total`` counter
+    and the ``generate.targets_per_sec`` gauge, mirroring the 6Gen run
+    metrics.
     """
     seeds = [int(s) for s in seeds]
     model = fit_entropy_ip(seeds, config)
@@ -428,17 +425,3 @@ def run_entropy_ip(
             tele.gauge("generate.targets_per_sec", len(targets) / elapsed)
     return targets
 
-
-def run_entropy_ip_columns(
-    seeds: Sequence[int] | Iterable[int],
-    budget: int,
-    *,
-    config: EntropyIPConfig | None = None,
-    exclude_seeds: bool = False,
-    telemetry: Telemetry | None = None,
-) -> "tuple[np.ndarray, np.ndarray]":
-    """Column-native :func:`run_entropy_ip` (packed ``(hi, lo)``)."""
-    seeds = [int(s) for s in seeds]
-    model = fit_entropy_ip(seeds, config)
-    exclude = seeds if exclude_seeds else ()
-    return model.generate_columns(budget, exclude=exclude, telemetry=telemetry)

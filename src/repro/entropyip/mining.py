@@ -14,8 +14,6 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
-import random
-
 from .segments import Segment
 
 
@@ -42,9 +40,6 @@ class ValueAtom:
 
     def contains(self, value: int) -> bool:
         return self.low <= value <= self.high
-
-    def sample(self, rng: random.Random) -> int:
-        return self.low if self.is_exact else rng.randint(self.low, self.high)
 
     def __str__(self) -> str:
         if self.is_exact:

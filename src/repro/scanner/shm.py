@@ -81,29 +81,36 @@ class SharedArrays:
         return self._spec
 
     @classmethod
-    def attach(cls, spec: dict) -> "SharedArrays":
-        """Open read-only views onto an existing segment (worker side).
+    def attach(cls, spec: dict, *, owner: bool = False) -> "SharedArrays":
+        """Open read-only views onto an existing segment.
 
-        Attaching must not register the segment with the worker's
-        resource tracker: attaching is not owning (CPython gh-82300),
-        and with forked workers all processes share one tracker whose
-        name cache is a *set* — duplicate registrations collapse, so
-        the balancing unregisters would underflow it and spew
-        KeyErrors.  Suppressing registration during the open keeps the
-        tracker ledger exactly one entry per segment (the creator's).
+        A non-owner (a scan worker) must not register the segment with
+        its resource tracker: attaching is not owning (CPython
+        gh-82300), and with forked workers all processes share one
+        tracker whose name cache is a *set* — duplicate registrations
+        collapse, so the balancing unregisters would underflow it and
+        spew KeyErrors.  Suppressing registration during the open keeps
+        the tracker ledger exactly one entry per segment (the
+        creator's).  An ``owner`` (the parent collecting a segment a
+        worker published unregistered) registers it as a creator
+        would, so the unregister in its :meth:`close`'s unlink has an
+        entry to remove.
         """
-        original_register = resource_tracker.register
-        resource_tracker.register = lambda *args, **kwargs: None
-        try:
+        if owner:
             shm = shared_memory.SharedMemory(name=spec["segment"])
-        finally:
-            resource_tracker.register = original_register
+        else:
+            original_register = resource_tracker.register
+            resource_tracker.register = lambda *args, **kwargs: None
+            try:
+                shm = shared_memory.SharedMemory(name=spec["segment"])
+            finally:
+                resource_tracker.register = original_register
         views: dict[str, np.ndarray] = {}
         for name, (dtype, shape, off) in spec["layout"].items():
             view = np.ndarray(shape, dtype=dtype, buffer=shm.buf, offset=off)
             view.flags.writeable = False
             views[name] = view
-        return cls(shm, views, spec, owner=False)
+        return cls(shm, views, spec, owner=owner)
 
     def close(self) -> None:
         """Drop views and unmap; the owner also unlinks the segment."""
@@ -155,15 +162,11 @@ def consume_arrays(spec: dict) -> dict[str, np.ndarray]:
     """Parent-side collect: copy arrays out of a published segment.
 
     Copies (the segment is about to vanish), then unlinks — the parent
-    assumes ownership the moment it consumes.
+    assumes ownership the moment it consumes, registering the segment
+    with its resource tracker so that the unlink's unregister balances.
     """
-    shared = SharedArrays.attach(spec)
-    try:
-        out = {
+    with SharedArrays.attach(spec, owner=True) as shared:
+        return {
             name: np.array(view, copy=True)
             for name, view in shared.arrays.items()
         }
-    finally:
-        shared._owner = True
-        shared.close()
-    return out

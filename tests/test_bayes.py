@@ -1,12 +1,15 @@
-"""Tests for Entropy/IP stage 4: the chain Bayesian network."""
+"""Tests for Entropy/IP stage 4: the Bayesian network."""
 
 import random
 
+import numpy as np
 import pytest
 
-from repro.entropyip.bayes import BayesChain
+from repro.entropyip.bayes import BayesNetwork
+from repro.entropyip.generator import assemble_columns
 from repro.entropyip.mining import mine_segment_values
 from repro.entropyip.segments import Segment
+from repro.ipv6.addrplane import unpack
 
 from conftest import addr
 
@@ -14,7 +17,15 @@ from conftest import addr
 def _fit_chain(seeds, segments=None):
     segments = segments or [Segment(0, 16, 0.0), Segment(16, 24, 0.3), Segment(24, 32, 0.8)]
     models = [mine_segment_values(s, seeds) for s in segments]
-    return BayesChain(models, seeds), models
+    return BayesNetwork(models, seeds, structure="chain"), models
+
+
+def _sample_addresses(net, count, rng_seed):
+    """``count`` addresses drawn through the sampler's column path."""
+    rng = np.random.default_rng(rng_seed)
+    shape = (count, len(net.models))
+    atoms = net.sample_atoms_arr(rng.random(shape))
+    return unpack(*assemble_columns(net.models, atoms, rng.random(shape)))
 
 
 def _structured_seeds(count=300, rng_seed=0):
@@ -33,14 +44,14 @@ def _structured_seeds(count=300, rng_seed=0):
 class TestFit:
     def test_rejects_empty_models(self):
         with pytest.raises(ValueError):
-            BayesChain([], [1])
+            BayesNetwork([], [1])
 
     def test_rejects_empty_seeds(self):
         seeds = _structured_seeds(10)
         segments = [Segment(0, 16, 0.0)]
         models = [mine_segment_values(segments[0], seeds)]
         with pytest.raises(ValueError):
-            BayesChain(models, [])
+            BayesNetwork(models, [])
 
     def test_root_probs_normalised(self):
         chain, _ = _fit_chain(_structured_seeds())
@@ -56,9 +67,8 @@ class TestFit:
 class TestSampling:
     def test_sample_atoms_valid_indices(self):
         chain, models = _fit_chain(_structured_seeds())
-        rng = random.Random(0)
-        for _ in range(50):
-            vec = chain.sample_atoms(rng)
+        rng = np.random.default_rng(0)
+        for vec in chain.sample_atoms_arr(rng.random((50, len(models)))):
             assert len(vec) == len(models)
             for idx, model in zip(vec, models):
                 assert 0 <= idx < len(model.atoms)
@@ -66,20 +76,16 @@ class TestSampling:
     def test_sample_address_matches_training_shape(self):
         seeds = _structured_seeds()
         chain, _ = _fit_chain(seeds)
-        rng = random.Random(0)
-        for _ in range(50):
-            sample = chain.sample_address(rng)
+        for sample in _sample_addresses(chain, 50, rng_seed=0):
             # network prefix must be preserved (constant in training data)
             assert sample >> 96 == seeds[0] >> 96
 
     @staticmethod
     def _consistency(segments, seeds):
         models = [mine_segment_values(s, seeds) for s in segments]
-        chain = BayesChain(models, seeds)
-        rng = random.Random(1)
+        chain = BayesNetwork(models, seeds, structure="chain")
         consistent, total = 0, 400
-        for _ in range(total):
-            sample = chain.sample_address(rng)
+        for sample in _sample_addresses(chain, total, rng_seed=1):
             subnet = (sample >> 64) & 0xF
             low = sample & 0xFF
             if (subnet % 2 == 0) == (low < 0x80):
@@ -105,18 +111,14 @@ class TestSampling:
     def test_chow_liu_tree_recovers_distant_correlation(self):
         # Structure learning links the correlated segments directly,
         # skipping the constant middle — the original tool's behaviour.
-        from repro.entropyip.bayes import BayesNetwork
-
         seeds = _structured_seeds(1000)
         segments = [Segment(0, 16, 0.0), Segment(16, 30, 0.2), Segment(30, 32, 0.9)]
         models = [mine_segment_values(s, seeds) for s in segments]
         net = BayesNetwork(models, seeds, structure="tree")
         # the low-bits segment must be parented to the subnet segment
         assert net.parents[2] == 0
-        rng = random.Random(1)
         hits = 0
-        for _ in range(300):
-            s = net.sample_address(rng)
+        for s in _sample_addresses(net, 300, rng_seed=1):
             subnet = (s >> 64) & 0xF
             low = s & 0xFF
             hits += (subnet % 2 == 0) == (low < 0x80)
@@ -125,17 +127,14 @@ class TestSampling:
 
 class TestTreeStructure:
     def test_single_segment(self):
-        from repro.entropyip.bayes import BayesNetwork
-
         seeds = _structured_seeds(50)
         models = [mine_segment_values(Segment(0, 32, 0.5), seeds)]
         net = BayesNetwork(models, seeds, structure="tree")
         assert net.parents == [None]
-        assert net.sample_atoms(random.Random(0))
+        atoms = net.sample_atoms_arr(np.random.default_rng(0).random((1, 1)))
+        assert atoms.shape == (1, 1)
 
     def test_tree_is_spanning(self):
-        from repro.entropyip.bayes import BayesNetwork
-
         seeds = _structured_seeds(300)
         segments = [Segment(0, 8, 0.0), Segment(8, 16, 0.0),
                     Segment(16, 24, 0.3), Segment(24, 32, 0.8)]
@@ -150,16 +149,12 @@ class TestTreeStructure:
                 assert parent != i
 
     def test_rejects_unknown_structure(self):
-        from repro.entropyip.bayes import BayesNetwork
-
         seeds = _structured_seeds(20)
         models = [mine_segment_values(Segment(0, 32, 0.5), seeds)]
         with pytest.raises(ValueError):
             BayesNetwork(models, seeds, structure="dag")
 
     def test_tree_enumeration_descending(self):
-        from repro.entropyip.bayes import BayesNetwork
-
         seeds = _structured_seeds(300)
         segments = [Segment(0, 16, 0.0), Segment(16, 30, 0.2), Segment(30, 32, 0.9)]
         models = [mine_segment_values(s, seeds) for s in segments]
@@ -169,8 +164,6 @@ class TestTreeStructure:
         assert all(a >= b - 1e-12 for a, b in zip(probs, probs[1:]))
 
     def test_tree_vs_chain_same_marginal_support(self):
-        from repro.entropyip.bayes import BayesNetwork
-
         seeds = _structured_seeds(300)
         segments = [Segment(0, 16, 0.0), Segment(16, 32, 0.5)]
         models = [mine_segment_values(s, seeds) for s in segments]

@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.entropyip.budgeted import (
@@ -11,6 +12,7 @@ from repro.entropyip.budgeted import (
     run_budget_aware_entropy_ip,
 )
 from repro.entropyip.generator import fit_entropy_ip, run_entropy_ip
+from repro.ipv6.addrplane import unpack
 
 from conftest import addr
 
@@ -73,6 +75,43 @@ class TestGeneration:
     def test_zero_budget(self):
         model = fit_entropy_ip(_structured_seeds(50))
         assert generate_budget_aware(model, 0) == set()
+
+
+def _inside(model, region, address):
+    return all(
+        seg_model.atoms[atom].contains(seg_model.segment.extract(address))
+        for seg_model, atom in zip(model.segment_models, region.atoms)
+    )
+
+
+class TestOversizedRegions:
+    @staticmethod
+    def _wide_model():
+        # Random low 32 bits: every region holds hundreds of millions
+        # of addresses, far beyond what is enumerated.
+        rng = random.Random(0)
+        return fit_entropy_ip(
+            [addr("2001:db8::") | rng.getrandbits(32) for _ in range(200)]
+        )
+
+    def test_budget_filled_from_the_densest_region(self):
+        model = self._wide_model()
+        regions = list(pattern_regions(model, max_regions=4096))
+        assert min(r.size for r in regions) > 1_000_000
+        densest = min(regions, key=lambda r: (-r.density, r.size))
+        targets = generate_budget_aware(model, 500, rng_seed=1)
+        assert len(targets) == 500
+        assert all(_inside(model, densest, t) for t in targets)
+
+    def test_sample_region_is_distinct_and_seeded(self):
+        model = self._wide_model()
+        region = next(iter(pattern_regions(model)))
+        hi, lo = model.sample_region(region.atoms, 2000, np.random.default_rng(3))
+        addrs = unpack(hi, lo)
+        assert len(set(addrs)) == 2000
+        assert all(_inside(model, region, a) for a in addrs)
+        again = model.sample_region(region.atoms, 2000, np.random.default_rng(3))
+        assert np.array_equal(hi, again[0]) and np.array_equal(lo, again[1])
 
 
 class TestImprovementClaim:

@@ -9,6 +9,7 @@ from repro.entropyip.generator import (
     fit_entropy_ip,
     run_entropy_ip,
 )
+from repro.telemetry import MemorySink, Telemetry
 
 from conftest import addr
 
@@ -22,6 +23,20 @@ def _structured_seeds(count=600, rng_seed=3):
         y = rng.randrange(1, 200)
         seeds.add(addr(f"2001:db8:{x:x}::{y:x}"))
     return sorted(seeds)
+
+
+class TestConfig:
+    @pytest.mark.parametrize("width", [0, -1, 17, 32])
+    def test_rejects_segment_width_outside_one_to_sixteen(self, width):
+        with pytest.raises(ValueError, match="segment_max_width"):
+            EntropyIPConfig(segment_max_width=width)
+
+    @pytest.mark.parametrize("width", [1, 16])
+    def test_accepts_segment_width_bounds(self, width):
+        model = fit_entropy_ip(
+            _structured_seeds(50), EntropyIPConfig(segment_max_width=width)
+        )
+        assert max(seg.width for seg in model.segments) <= width
 
 
 class TestFit:
@@ -91,6 +106,39 @@ class TestGenerate:
         a = fit_entropy_ip(seeds, EntropyIPConfig(rng_seed=5)).generate(200)
         b = fit_entropy_ip(seeds, EntropyIPConfig(rng_seed=5)).generate(200)
         assert a == b
+
+    def test_repeated_calls_on_one_model_are_equal(self):
+        # generate is a pure function of the model, budget, exclude and
+        # rng_seed: a second call re-draws the same stream.
+        seeds = _structured_seeds()
+        model = fit_entropy_ip(seeds)
+        assert model.support_size() > 1000  # the sampling path
+        assert model.generate(1000) == model.generate(1000)
+        excluded = seeds[:100]
+        assert model.generate(1000, exclude=excluded) == model.generate(
+            1000, exclude=excluded
+        )
+        other = fit_entropy_ip(seeds, EntropyIPConfig(rng_seed=1))
+        assert other.generate(1000) != model.generate(1000)
+
+    def test_sampling_stops_when_exclude_leaves_too_few(self):
+        model = fit_entropy_ip(_structured_seeds())
+        support = model.generate_ordered(model.support_size())
+        budget = len(support) - 1
+        assert model.support_size() > budget  # the sampling path
+        kept = support[:10]
+        targets = model.generate(budget, exclude=support[10:])
+        assert targets == set(kept)
+
+    def test_run_records_one_span_and_target_count(self):
+        sink = MemorySink()
+        tele = Telemetry(sink)
+        targets = run_entropy_ip(_structured_seeds(), 1000, telemetry=tele)
+        spans = [e for e in sink.events if e["event"] == "span"]
+        assert [e["path"] for e in spans] == ["generate.entropy_ip"]
+        assert spans[0]["attrs"] == {"budget": 1000, "seeds": 600}
+        assert tele.snapshot().counters["generate.targets_total"] == len(targets)
+        assert len(targets) == 1000
 
 
 class TestGenerateOrdered:

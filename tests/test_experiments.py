@@ -159,6 +159,50 @@ class TestFig5Cdfs:
             assert fracs[-1] == pytest.approx(1.0)
 
 
+class TestStandardPassReuse:
+    def test_standard_rows_start_no_campaign(self, monkeypatch):
+        # With the cache warm, the rows that are the standard pass read
+        # it; only the other rows start a campaign (stubbed to empty).
+        from types import SimpleNamespace
+
+        from repro.analysis import extensions as ext
+        from repro.campaign import CampaignSpec
+
+        cached = ex.standard_outcome(BUDGET, SCALE)
+        context = ex.standard_context(SCALE)
+        standard = CampaignSpec(budget=BUDGET)
+        started = []
+
+        class StubCampaign:
+            def __init__(self, truth, bgp, groups, spec):
+                # Raising keeps a stub result out of standard_outcome's cache.
+                if groups == context.groups and spec == standard:
+                    raise AssertionError("the standard pass was started again")
+                started.append(spec)
+
+            def run(self):
+                return SimpleNamespace(raw_hits=set(), clean_hits=set())
+
+        monkeypatch.setattr(ex, "Campaign", StubCampaign)
+        hits = (len(cached.raw_hits), len(cached.clean_hits))
+        loose = ex.tight_vs_loose(budget=BUDGET, scale=SCALE)[0]
+        assert (loose.mode, loose.raw_hits, loose.dealiased_hits) == ("loose", *hits)
+        full = ex.table2_downsampling(levels=(0.25, 1.0), budget=BUDGET, scale=SCALE)
+        assert (full[-1].raw_hits, full[-1].dealiased_hits) == hits
+        tcp = ext.probe_type_experiment(budget=BUDGET, scale=SCALE)[0]
+        assert (tcp.probe, tcp.raw_hits, tcp.dealiased_hits) == ("TCP/80", *hits)
+        aaaa = ext.seed_type_experiment(budget=BUDGET, scale=SCALE)[0]
+        assert (aaaa.record_type, aaaa.raw_hits, aaaa.dealiased_hits) == (
+            "AAAA (all)", *hits,
+        )
+        every = ext.seed_prefilter_experiment(budget=BUDGET, scale=SCALE)[0]
+        assert (every.variant, every.raw_hits, every.dealiased_hits) == (
+            "all seeds", *hits,
+        )
+        # tight, level 0.25, ICMPv6, the NS/MX slices and two prefilters
+        assert len(started) >= 5
+
+
 def _campaign(spec, checkpoint_path=None):
     from repro.campaign import Campaign
 

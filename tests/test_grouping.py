@@ -1,5 +1,10 @@
 """Tests for the per-prefix generation stage, ``generate_per_prefix``."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 from repro.campaign import generate_per_prefix
@@ -18,6 +23,26 @@ def _groups():
         GOOD: [addr(f"2001:db8::{i:x}") for i in range(1, 7)],
         BAD: [addr("2600::1"), addr("2600::2")],
     }
+
+
+#: A pooled run whose three prefixes each return more column bytes than
+#: travel inline, so every one comes back through shared memory; prints
+#: how many segments the parent consumed.
+_POOLED_SHM_RUN = """
+import repro.scanner.shm as shm
+from repro.campaign import generate_per_prefix
+from repro.ipv6.prefix import Prefix
+
+consumed = []
+consume = shm.consume_arrays
+shm.consume_arrays = lambda spec: consumed.append(spec) or consume(spec)
+groups = {}
+for i in range(3):
+    net = (0x20010DB8 << 96) | (i << 80)
+    groups[Prefix(net, 48)] = [net | (s << 8) | t for s in range(1, 40) for t in (1, 2)]
+generate_per_prefix(groups, 8000, processes=2)
+print(len(consumed))
+"""
 
 
 def _poisoned():
@@ -115,3 +140,18 @@ class TestFailureIsolation:
     def test_no_failures_leaves_failures_empty(self):
         run = generate_per_prefix(_groups(), 20)
         assert run.failures == {}
+
+
+class TestPoolSharedMemory:
+    def test_pooled_run_writes_nothing_to_stderr(self):
+        # A fresh interpreter, so its resource tracker's exit report
+        # (leaks, unbalanced unregisters) lands in the captured stderr.
+        src = pathlib.Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run(
+            [sys.executable, "-c", _POOLED_SHM_RUN],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "3"
+        assert proc.stderr == ""
