@@ -11,8 +11,7 @@ Runs the same deterministic campaign three ways:
 The gate fails (exit 1) unless the resumed run's hits and stats are
 *bit-identical* to the uninterrupted baseline — the checkpoint/resume
 contract documented in ``docs/fault_tolerance.md``.  Crash points are
-swept across round-0 batches and a retry round, at one and two workers,
-so both the in-process and pool merge paths are covered.
+swept across round-0 batches and a retry round.
 
 A second case sweeps the living hitlist's log and snapshot.  A store
 takes a few epochs of this campaign's scan outcomes, with a snapshot
@@ -75,29 +74,26 @@ def build_campaign():
     return context.internet.truth, targets
 
 
-def scan_once(truth, targets, workers, *, checkpoint=None, resume=None,
-              crash=None):
+def scan_once(truth, targets, *, checkpoint=None, resume=None, crash=None):
     scanner = Scanner(
         truth, loss_rate=LOSS_RATE, rng_seed=RNG_SEED,
-        config=ScanConfig(
-            batch_size=BATCH_SIZE, workers=workers, retries=RETRIES
-        ),
+        config=ScanConfig(batch_size=BATCH_SIZE, retries=RETRIES),
     )
     return scanner.scan(
         targets, checkpoint=checkpoint, resume=resume, crash=crash
     )
 
 
-def run_case(truth, targets, workers, crash, workdir) -> dict:
+def run_case(truth, targets, crash, workdir) -> dict:
     """One crash/resume cycle; returns the parity verdict."""
-    baseline = scan_once(truth, targets, workers)
+    baseline = scan_once(truth, targets)
 
-    path = workdir / f"ckpt_w{workers}_r{crash.at_round}_b{crash.at_batch}.jsonl"
+    path = workdir / f"ckpt_r{crash.at_round}_b{crash.at_batch}.jsonl"
     sink = JsonlSink(path)
     crashed = False
     try:
         scan_once(
-            truth, targets, workers,
+            truth, targets,
             checkpoint=ScanCheckpointer(sink, every_batches=2), crash=crash,
         )
     except InjectedWorkerCrash:
@@ -109,14 +105,13 @@ def run_case(truth, targets, workers, crash, workdir) -> dict:
     sink = JsonlSink(path)
     try:
         resumed = scan_once(
-            truth, targets, workers,
+            truth, targets,
             checkpoint=ScanCheckpointer(sink, every_batches=2), resume=state,
         )
     finally:
         sink.close()
 
     return {
-        "workers": workers,
         "crash_round": crash.at_round,
         "crash_batch": crash.at_batch,
         "crashed": crashed,
@@ -284,7 +279,6 @@ def main() -> int:
             WorkerCrash(at_batch=max(1, n_batches // 2)),
             WorkerCrash(at_batch=0, at_round=1),
         ]
-        worker_counts = (1, 2)
     else:
         crashes = [
             WorkerCrash(at_batch=1),
@@ -293,26 +287,24 @@ def main() -> int:
             WorkerCrash(at_batch=0, at_round=1),
             WorkerCrash(at_batch=0, at_round=RETRIES),
         ]
-        worker_counts = (1, 2)
 
     cases = []
     failures = 0
     with tempfile.TemporaryDirectory() as tmp:
         workdir = pathlib.Path(tmp)
-        for workers in worker_counts:
-            for crash in crashes:
-                case = run_case(truth, targets, workers, crash, workdir)
-                cases.append(case)
-                ok = case["crashed"] and case["hits_match"] and case["stats_match"]
-                if not ok:
-                    failures += 1
-                print(
-                    f"  workers={workers} crash=({crash.at_round},"
-                    f"{crash.at_batch:>3}) resumed_from=({case['resumed_from_round']},"
-                    f"{case['resumed_from_batch']}) "
-                    f"hits={case['resumed_hits']}/{case['baseline_hits']} "
-                    f"{'OK' if ok else 'DIVERGED'}"
-                )
+        for crash in crashes:
+            case = run_case(truth, targets, crash, workdir)
+            cases.append(case)
+            ok = case["crashed"] and case["hits_match"] and case["stats_match"]
+            if not ok:
+                failures += 1
+            print(
+                f"  crash=({crash.at_round},"
+                f"{crash.at_batch:>3}) resumed_from=({case['resumed_from_round']},"
+                f"{case['resumed_from_batch']}) "
+                f"hits={case['resumed_hits']}/{case['baseline_hits']} "
+                f"{'OK' if ok else 'DIVERGED'}"
+            )
 
     with tempfile.TemporaryDirectory() as tmp:
         hitlist = run_hitlist_case(truth, targets, pathlib.Path(tmp), args.quick)

@@ -6,10 +6,9 @@ path and (b) the batched *array* plane (packed uint64 hi/lo columns,
 vectorised lookups), verifying on every tier that both produce
 identical hits *and* identical ``ScanStats`` — the parity contract the
 engine promises for a fixed ``rng_seed``.  A lossy tier exercises the
-order-independent loss PRF, and a multi-worker run checks that
-shared-memory process sharding reproduces the reference hit set.  A
-parity-only case scans a blacklist whose prefixes nest (/128s inside a
-/64 inside a /56) through all three paths.
+order-independent loss PRF.  A parity-only case scans a blacklist
+whose prefixes nest (/128s inside a /64 inside a /56) through both
+paths.
 Medians and speedups land in ``benchmarks/results/BENCH_scan.json``
 (see docs/performance.md for how to read the tiers).
 
@@ -133,33 +132,8 @@ def bench_tier(
     }
 
 
-def check_workers(
-    truth, blacklist: Blacklist, pool: list[int],
-    telemetry: Telemetry = NULL_TELEMETRY,
-) -> dict:
-    """Multi-worker scans must reproduce the reference hit set and stats."""
-    targets = pool[: min(len(pool), 100_000)]
-    reference = Scanner(
-        truth, blacklist=blacklist, loss_rate=0.1, rng_seed=RNG_SEED,
-        config=ScanConfig(use_batched=False),
-    ).scan(targets)
-    arrays_scanner = Scanner(
-        truth, blacklist=blacklist, loss_rate=0.1, rng_seed=RNG_SEED,
-        config=ScanConfig(workers=2), telemetry=telemetry,
-    )
-    pooled, arrays_s = time_call(lambda: arrays_scanner.scan(targets))
-    return {
-        "targets": len(targets),
-        "workers": 2,
-        "arrays_pool_s": round(arrays_s, 4),
-        "identical": (
-            pooled.hits == reference.hits and pooled.stats == reference.stats
-        ),
-    }
-
-
 def check_nested_blacklist(truth, pool: list[int], n: int) -> dict:
-    """Reference, array and ``workers=2`` scans under a nested blacklist."""
+    """Reference and array scans under a nested blacklist."""
     blacklist, nested = make_nested_blacklist(pool)
     targets = pool[:n]
     results = [
@@ -167,9 +141,7 @@ def check_nested_blacklist(truth, pool: list[int], n: int) -> dict:
             truth, blacklist=blacklist, loss_rate=0.1, rng_seed=RNG_SEED,
             config=config,
         ).scan(targets)
-        for config in (
-            ScanConfig(use_batched=False), ScanConfig(), ScanConfig(workers=2)
-        )
+        for config in (ScanConfig(use_batched=False), ScanConfig())
     ]
     reference = results[0]
     return {
@@ -255,13 +227,6 @@ def main(argv: list[str] | None = None) -> int:
         f"arrays={lossy['arrays_median_s']:.3f}s  "
         f"identical={lossy['identical']}"
     )
-    workers = check_workers(truth, blacklist, pool, telemetry)
-    telemetry.event("progress", {"stage": "workers_check", **workers})
-    print(
-        f"workers={workers['workers']}  targets={workers['targets']}  "
-        f"arrays_pool={workers['arrays_pool_s']:.3f}s  "
-        f"identical={workers['identical']}"
-    )
     nested = check_nested_blacklist(truth, pool, tiers[-1])
     telemetry.event("progress", {"stage": "nested_blacklist_check", **nested})
     print(
@@ -280,17 +245,12 @@ def main(argv: list[str] | None = None) -> int:
         "repeats": repeats,
         "quick": args.quick,
         "tiers": rows,
-        "workers_check": workers,
         "nested_blacklist_check": nested,
     }
     args.out.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
     print(f"wrote {args.out}")
 
-    if (
-        not all(row["identical"] for row in rows)
-        or not workers["identical"]
-        or not nested["identical"]
-    ):
+    if not all(row["identical"] for row in rows) or not nested["identical"]:
         print("DIVERGENCE: batched scan output differs from reference")
         return 1
     if args.min_array_speedup is not None:

@@ -57,21 +57,6 @@ def main() -> None:
         for region in adaptive.aliased_regions[:4]:
             print(f"    {region.wildcard_text()}")
 
-    # --- 6Tree-style successor: space-tree dynamic scanning ---------------
-    from repro.successors.sixtree import run_sixtree
-
-    scanner3 = Scanner(internet.truth)
-    sixtree = run_sixtree(seeds, scanner3, budget)
-    real_sixtree = {
-        h for h in sixtree.hits if not internet.truth.is_aliased(h)
-    }
-    print("\n6Tree-style pipeline (space tree + hit-rate expansion):")
-    print(f"  probes: {sixtree.probes_used}")
-    print(f"  hits: {len(sixtree.hits)} ({len(real_sixtree)} real hosts)")
-    print(f"  regions scanned: {sixtree.regions_scanned}, "
-          f"expansions: {sixtree.expansions}, "
-          f"alias-flagged: {len(sixtree.aliased_regions)}")
-
     saved = budget - adaptive.probes_used
     print(f"\nadaptive loop returned {saved} unused probes for other networks"
           f" and avoided pouring budget into aliased space.")

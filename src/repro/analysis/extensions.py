@@ -106,71 +106,6 @@ def format_cross_protocol(result: CrossProtocolResult) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Probe-type comparison (TCP/80 vs ICMPv6)
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class ProbeTypeRow:
-    probe: str
-    raw_hits: int
-    dealiased_hits: int
-    true_population: int
-
-    @property
-    def coverage(self) -> float:
-        if not self.true_population:
-            return 0.0
-        return self.dealiased_hits / self.true_population
-
-
-def probe_type_experiment(
-    budget: int = DEFAULT_BUDGET, scale: float = DEFAULT_SCALE
-) -> list[ProbeTypeRow]:
-    """TCP/80 SYN scanning vs ICMPv6 echo scanning on the same targets.
-
-    The Entropy/IP authors evaluated with ICMPv6 pings, the 6Gen paper
-    with TCP/80 SYNs; this driver quantifies the difference in the
-    simulation: ping reaches every active host (a larger population),
-    TCP/80 only web hosts, with aliased regions answering both.
-    """
-    from ..simnet.ground_truth import ICMPV6
-
-    context = standard_context(scale)
-    truth = context.internet.truth
-    rows = []
-    for label, port in (("TCP/80", 80), ("ICMPv6", ICMPV6)):
-        outcome = (
-            standard_outcome(budget, scale)
-            if port == 80
-            else run_full_scan(context, budget, port=port)
-        )
-        rows.append(
-            ProbeTypeRow(
-                probe=label,
-                raw_hits=len(outcome.raw_hits),
-                dealiased_hits=len(outcome.clean_hits),
-                true_population=truth.host_count(port),
-            )
-        )
-    return rows
-
-
-def format_probe_types(rows: Sequence[ProbeTypeRow]) -> str:
-    lines = ["probe-type comparison (same targets, different probes)"]
-    lines.append(
-        f"{'probe':<8} {'raw hits':>9} {'dealiased':>10} "
-        f"{'population':>11} {'coverage':>9}"
-    )
-    for row in rows:
-        lines.append(
-            f"{row.probe:<8} {row.raw_hits:>9} {row.dealiased_hits:>10} "
-            f"{row.true_population:>11} {row.coverage:>9.1%}"
-        )
-    return "\n".join(lines)
-
-
-# ---------------------------------------------------------------------------
 # Host-type seed slices (§6.7.1 generalised)
 # ---------------------------------------------------------------------------
 

@@ -11,8 +11,7 @@ ordering + budgeted probing with retry rounds
 Two ways to drive it:
 
 * :meth:`Campaign.run` — the monolithic path: generate, then
-  ``Scanner.scan`` (which keeps its pool paths for round 0 at
-  ``workers > 1``), then dealias.
+  ``Scanner.scan``, then dealias.
 * :meth:`Campaign.begin` / :meth:`step` / :meth:`finish` — the
   stepwise path, built on :class:`~repro.scanner.execution.ScanExecution`.
   Each ``step()`` probes one batch; a scheduler (the multi-tenant
@@ -94,7 +93,7 @@ class CampaignSpec:
 
     ``budget`` is the per-prefix probe budget (the paper's 1 M,
     simulation-scaled).  ``scan_config`` selects the scan execution
-    strategy (batch size, workers, retries) — the result is identical
+    strategy (batch size, retries) — the result is identical
     for every config.  ``dealias`` toggles the §6.2 dealiasing stage;
     with it off the report passes raw hits through as clean.
     """
@@ -259,9 +258,8 @@ class Campaign:
     def run(self, *, resume: bool = False, crash: "WorkerCrash | None" = None):
         """Run the whole campaign to completion and return its result.
 
-        Generation, then ``Scanner.scan`` (which keeps its pool paths
-        for round 0 at ``workers > 1``), then dealiasing, all under one
-        ``full_scan`` span.  Phased campaigns (``allocation`` set) run
+        Generation, then ``Scanner.scan``, then dealiasing, all under
+        one ``full_scan`` span.  Phased campaigns (``allocation`` set) run
         the stepwise path to completion instead.
         """
         if self.allocation is not None:

@@ -239,7 +239,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
             ckpt_sink, every_batches=args.checkpoint_every
         )
     try:
-        config = ScanConfig(retries=args.retries, workers=args.workers)
+        config = ScanConfig(retries=args.retries)
         scanner = Scanner(internet.truth, config=config, telemetry=telemetry)
         result = scanner.scan(
             targets, port=args.port,
@@ -303,7 +303,7 @@ def _scan_predictive(args, out, seeds, internet, telemetry) -> int:
     spec = CampaignSpec(
         budget=args.budget,
         port=args.port,
-        scan_config=ScanConfig(retries=args.retries, workers=args.workers),
+        scan_config=ScanConfig(retries=args.retries),
         checkpoint_every=args.checkpoint_every,
     )
     allocator = PredictiveAllocator(
@@ -385,7 +385,7 @@ def _scan_epochs(args, out, targets, internet, telemetry) -> int:
                 f"hitlist store {args.hitlist}: {len(store)} entries "
                 f"through epoch {store.latest_epoch}"
             )
-    config = ScanConfig(retries=args.retries, workers=args.workers)
+    config = ScanConfig(retries=args.retries)
     start = store.latest_epoch + 1 if store is not None else 0
     epochs = []
     hits: set[int] = set()
@@ -732,9 +732,6 @@ _EXPERIMENTS = {
     "seed-types": lambda a: _ext().format_seed_types(
         _ext().seed_type_experiment(budget=a.budget)
     ),
-    "probe-types": lambda a: _ext().format_probe_types(
-        _ext().probe_type_experiment(budget=a.budget)
-    ),
     "predictive": lambda a: _ext().format_predictive(
         _ext().predictive_allocation_experiment(budget_per_prefix=a.budget // 4)
     ),
@@ -946,16 +943,12 @@ def build_parser() -> argparse.ArgumentParser:
              "from the probe budget)",
     )
     p.add_argument(
-        "--workers", type=int, default=1,
-        help="shard the scan across this many worker processes",
-    )
-    p.add_argument(
         "--checkpoint", metavar="FILE",
         help="append crash-safe scan checkpoints to this JSONL file",
     )
     p.add_argument(
         "--checkpoint-every", type=int, default=16, metavar="BATCHES",
-        help="checkpoint cadence in merged batches (default: 16)",
+        help="checkpoint cadence in batches (default: 16)",
     )
     p.add_argument(
         "--resume", metavar="CKPT",

@@ -6,8 +6,7 @@ GroundTruth`: a probe first survives the fault layer (or not), and only
 survivors consult the underlying oracle.  It *is* a ``GroundTruth`` —
 it shares the base instance's host tables and aliased regions rather
 than copying them — so it drops into the scanner, the dealiaser, and
-the experiment harness unchanged, and it pickles into pool workers like
-any other truth.
+the experiment harness unchanged.
 """
 
 from __future__ import annotations
@@ -47,9 +46,6 @@ class FaultyGroundTruth(GroundTruth):
 
     def invalidate(self) -> None:
         self.base.invalidate()
-
-    def _ping_targets(self) -> set[int]:
-        return self.base._ping_targets()
 
     def frozen_hosts(self, port: int = 80):
         return self.base.frozen_hosts(port)

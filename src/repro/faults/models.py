@@ -17,7 +17,7 @@ scanner's parity tests rely on:
   verifiable.
 
 ``WorkerCrash`` is the odd one out: it models an operational fault (a
-scan worker dying mid-campaign) rather than a network one, and fires by
+scan process dying mid-campaign) rather than a network one, and fires by
 raising :class:`InjectedWorkerCrash` at a chosen batch index.
 """
 
@@ -431,9 +431,8 @@ class WorkerCrash:
 
     Fires (raises :class:`InjectedWorkerCrash`) exactly when the scan
     reaches batch ``at_batch`` of round ``at_round``.  The spec is
-    stateless and picklable, so it crosses into pool workers; a resumed
-    run simply does not pass the crash spec again, mirroring an
-    operator restarting a fixed deployment.
+    stateless; a resumed run simply does not pass the crash spec again,
+    mirroring an operator restarting a fixed deployment.
     """
 
     at_batch: int

@@ -30,9 +30,8 @@ same byte prefix with different trailing-NUL counts — impossible at
 equal total width.)
 
 Everything here is shape-preserving and allocation-light on purpose:
-these arrays travel through :mod:`multiprocessing.shared_memory`
-segments into scan workers (see :mod:`repro.scanner.shm`), so lookup
-tables are plain contiguous ndarrays with no Python object graphs.
+lookup tables are plain contiguous ndarrays with no Python object
+graphs.
 """
 
 from __future__ import annotations

@@ -76,8 +76,8 @@ class Blacklist:
     def frozen_table(self) -> "PrefixMaskTable | None":
         """The blacklist as a frozen mask table, memoised until :meth:`add`.
 
-        ``None`` when empty.  The table's arrays are immutable snapshots
-        suitable for sharing with scan workers.
+        ``None`` when empty.  The table's arrays are immutable
+        snapshots.
         """
         if not self._count:
             return None

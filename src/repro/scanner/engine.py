@@ -17,15 +17,15 @@ first-seen order as columns, probe order is a ZMap-style cyclic
 permutation of the index space (:class:`~repro.scanner.schedule.
 CyclicPermutation` — O(1) auxiliary memory, no shuffled copy), and
 chunks flow through the vectorised lookups of a frozen
-:class:`~repro.scanner.plane.ScanPlane`, optionally sharded across a
-process pool (:attr:`ScanConfig.workers`).  A per-address sequential
-reference path (``use_batched=False``) is kept as the correctness
-oracle, and is the only code that holds boxed target ints: for a fixed
-``rng_seed`` both paths — and any worker count — produce identical
-hits *and* identical :class:`~repro.scanner.probe.ScanStats`, because
-probe order is the shared permutation and scan-time probe loss is a
-pure function of ``(scan key, address)`` rather than a draw from a
-sequential RNG stream.  ``benchmarks/bench_scan.py`` enforces the
+:class:`~repro.scanner.plane.ScanPlane`, all in one process.  A
+per-address sequential reference path (``use_batched=False``) is kept
+as the correctness oracle, and is the only code that holds boxed target
+ints: for a fixed ``rng_seed`` both paths — and any batch size —
+produce identical hits *and* identical
+:class:`~repro.scanner.probe.ScanStats`, because probe order is the
+shared permutation and scan-time probe loss is a pure function of
+``(scan key, address)`` rather than a draw from a sequential RNG
+stream.  ``benchmarks/bench_scan.py`` enforces the
 parity on every run.  Truth or blacklist types the plane cannot
 snapshot (:meth:`ScanPlane.supports`) scan through the reference path.
 
@@ -47,9 +47,8 @@ Robustness extensions (all default-off, all parity-preserving):
   with hits and stats identical to an uninterrupted run (see
   :mod:`repro.scanner.checkpoint` for the argument).
 * **Crash injection** (``crash=``): a
-  :class:`~repro.faults.WorkerCrash` spec raises at a chosen batch,
-  in-process or inside a pool worker — the test hook behind the
-  resume-parity CI job.
+  :class:`~repro.faults.WorkerCrash` spec raises at a chosen batch —
+  the test hook behind the resume-parity CI job.
 """
 
 from __future__ import annotations
@@ -57,7 +56,6 @@ from __future__ import annotations
 import itertools
 import random
 import time
-from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence
 
@@ -76,6 +74,7 @@ from ..simnet.ground_truth import GroundTruth
 from ..telemetry.metrics import MetricsSnapshot
 from ..telemetry.spans import Telemetry, ensure
 from .blacklist import Blacklist
+from .execution import ScanExecution
 from .plane import ScanPlane, loss_prf_arr
 from .probe import DEFAULT_PORT, ScanResult, ScanStats
 from .schedule import CyclicPermutation, mix64
@@ -102,9 +101,9 @@ def _loss_prf(key: int, addr: int) -> float:
     """Uniform-in-[0,1) pseudo-random function of ``(key, address)``.
 
     Scan-time probe loss uses this instead of a sequential RNG stream
-    so outcomes do not depend on probe order or worker sharding — the
-    property that makes the batched, multi-process paths bit-identical
-    to the sequential reference.
+    so outcomes do not depend on probe order or batching — the
+    property that makes the batched path bit-identical to the
+    sequential reference.
     """
     h = mix64(key ^ (addr & _M64))
     h = mix64(h ^ (addr >> 64))
@@ -159,8 +158,6 @@ class ScanConfig:
     """Execution parameters for :meth:`Scanner.scan`.
 
     ``batch_size`` is the chunk granularity of the streaming pipeline;
-    ``workers`` > 1 shards chunks across a process pool with
-    shared-memory target columns (1 keeps the scan in-process);
     ``use_batched=False`` selects the per-address sequential reference
     path (the correctness oracle the benchmark compares against).  All
     settings produce identical results for a fixed ``rng_seed`` — they
@@ -168,7 +165,6 @@ class ScanConfig:
     """
 
     batch_size: int = 4096
-    workers: int = 1
     use_batched: bool = True
     #: Extra probe rounds for non-responders (0 = single-pass, the
     #: pre-retry behaviour, bit-identical output).
@@ -184,8 +180,6 @@ class ScanConfig:
     def __post_init__(self) -> None:
         if self.batch_size <= 0:
             raise ValueError(f"batch_size must be positive: {self.batch_size}")
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1: {self.workers}")
         if self.retries < 0:
             raise ValueError(f"retries must be >= 0: {self.retries}")
         if self.retry_backoff < 0:
@@ -584,15 +578,14 @@ class Scanner:
         if prep.completed is not None:
             return prep.completed
         tele = self.telemetry
-        with tele.span(
-            "scan", port=port, targets=prep.n, workers=config.workers
-        ):
+        with tele.span("scan", port=port, targets=prep.n):
             start = time.perf_counter()
             if batched:
-                result = self._scan_batched(
-                    prep.cols, prep.perm, prep.loss_key, port, config,
+                result = ScanExecution(
+                    self, cols=prep.cols, perm=prep.perm,
+                    loss_key=prep.loss_key, port=port, config=config,
                     checkpoint=checkpoint, resume=resume, crash=crash,
-                )
+                ).run()
             else:
                 result = self._scan_reference(
                     prep.cols, prep.perm, prep.loss_key, port, config
@@ -620,11 +613,8 @@ class Scanner:
         checkpoints), one batch per :meth:`~repro.scanner.execution.
         ScanExecution.step` — the primitive the multi-tenant campaign
         scheduler interleaves.  Requires the batched path (and a
-        truth/blacklist type the scan plane supports); executions
-        always run in-process (worker pools belong to :meth:`scan`).
+        truth/blacklist type the scan plane supports).
         """
-        from .execution import ScanExecution
-
         config = self.config
         if not self._uses_plane():
             raise ValueError(
@@ -671,7 +661,7 @@ class Scanner:
         tele.count("scan.hits", len(result.hits))
         # One conversion from the final (parity-gated) stats for
         # every execution path, so counter totals are identical for
-        # any batch size or worker count.
+        # any batch size.
         tele.merge_snapshot(scan_stats_snapshot(result.stats))
         if elapsed > 0:
             tele.gauge(
@@ -702,7 +692,6 @@ class Scanner:
                     config.retry_backoff * config.retries, 6
                 ),
                 "hit_rate": round(result.stats.hit_rate, 6),
-                "workers": config.workers,
                 "seconds": round(elapsed, 6),
             },
         )
@@ -757,119 +746,14 @@ class Scanner:
                 break
         return ScanResult(port=port, hits=hits, stats=stats)
 
-    def _scan_batched(
-        self,
-        cols: "tuple[np.ndarray, np.ndarray]",
-        perm: CyclicPermutation | None,
-        loss_key: int,
-        port: int,
-        config: ScanConfig,
-        *,
-        checkpoint: "ScanCheckpointer | None" = None,
-        resume: "ResumeState | None" = None,
-        crash: "WorkerCrash | None" = None,
-    ) -> ScanResult:
-        # The batch loop lives in ScanExecution (one batch per step);
-        # this method only decides whether round 0 runs through the
-        # shared-memory worker pool first.
-        from .execution import ScanExecution
-
-        execution = ScanExecution(
-            self, cols=cols, perm=perm, loss_key=loss_key,
-            port=port, config=config, checkpoint=checkpoint, resume=resume,
-            crash=crash,
-        )
-        if (
-            execution.start_round == 0
-            and config.workers > 1
-            and execution.n > config.batch_size
-        ):
-            self._scan_pool_shared(
-                execution.plane, perm, loss_key, config,
-                execution.stats, execution.hits,
-                checkpoint=checkpoint,
-                start_batch=execution.start_batch, crash=crash,
-            )
-            execution.skip_round0()
-        return execution.run()
-
-    def _scan_pool_shared(
-        self,
-        plane: ScanPlane,
-        perm: CyclicPermutation | None,
-        loss_key: int,
-        config: ScanConfig,
-        stats: ScanStats,
-        hits: set[int],
-        *,
-        checkpoint: "ScanCheckpointer | None" = None,
-        start_batch: int = 0,
-        crash: "WorkerCrash | None" = None,
-    ) -> None:
-        """Shard the array plane across a pool via one shm segment.
-
-        The target columns and every frozen lookup table travel once,
-        through a :class:`~repro.scanner.shm.SharedArrays` segment;
-        each task is just ``(batch_index, start, stop)`` — O(1) bytes
-        per shard regardless of target count.  Workers rebuild the
-        cyclic permutation from its (picklable, O(1)) spec and read
-        their shard's columns straight from the segment.  The parent
-        is the only process that unlinks the segment, always — a pool
-        worker crash propagates out of the executor context and the
-        ``finally`` still reclaims ``/dev/shm``.
-        """
-        from concurrent.futures import ProcessPoolExecutor
-
-        from .shm import SharedArrays
-
-        tele = self.telemetry
-        arrays, meta = plane.shared_payload()
-        meta["loss_key"] = loss_key
-        window = config.workers * 4
-        shared = SharedArrays.create(arrays)
-        try:
-            with ProcessPoolExecutor(
-                max_workers=config.workers,
-                initializer=_plane_pool_init,
-                initargs=(shared.spec, meta, perm, crash),
-            ) as pool:
-                futures: deque = deque()
-
-                def merge_one() -> None:
-                    index, chunk_hits, chunk_stats = futures.popleft().result()
-                    hits.update(chunk_hits)
-                    stats.merge(chunk_stats)
-                    tele.count("scan.worker_merges")
-                    if checkpoint is not None:
-                        checkpoint.note_batch(chunk_hits)
-                        checkpoint.checkpoint(0, index + 1, stats)
-
-                n = len(plane.hi)
-                batch_size = config.batch_size
-                for start in range(start_batch * batch_size, n, batch_size):
-                    index = start // batch_size
-                    futures.append(
-                        pool.submit(
-                            _plane_scan_chunk,
-                            index, start, min(start + batch_size, n),
-                        )
-                    )
-                    tele.count("scan.batches")
-                    if len(futures) >= window:
-                        merge_one()
-                while futures:
-                    merge_one()
-        finally:
-            shared.close()
-
 
 def scan_stats_snapshot(stats: ScanStats) -> MetricsSnapshot:
     """Express :class:`ScanStats` as a mergeable metrics snapshot.
 
     Both types share the merge contract (order-independent sums), so a
-    per-shard ``ScanStats`` and its snapshot form stay interchangeable:
-    merging snapshots of shard stats equals the snapshot of merged
-    shard stats.
+    partial ``ScanStats`` (one campaign phase's, say) and its snapshot
+    form stay interchangeable: merging snapshots of partial stats
+    equals the snapshot of the merged stats.
     """
     return MetricsSnapshot(
         counters={
@@ -880,30 +764,3 @@ def scan_stats_snapshot(stats: ScanStats) -> MetricsSnapshot:
             "scan.retransmits": stats.retransmits,
         }
     )
-
-
-#: Per-process state for scan-pool workers (set by the initializer).
-_POOL_STATE: dict = {}
-
-
-def _plane_pool_init(spec: dict, meta: dict, perm, crash) -> None:
-    """Attach the shared scan plane in a pool worker (once per process)."""
-    from .shm import SharedArrays
-
-    shared = SharedArrays.attach(spec)
-    plane = ScanPlane.from_shared(meta, shared.arrays)
-    # Keep `shared` referenced so the mapping outlives this initializer.
-    _POOL_STATE["plane"] = (plane, perm, meta["loss_key"], crash, shared)
-
-
-def _plane_scan_chunk(
-    index: int, start: int, stop: int
-) -> tuple[int, list[int], ScanStats]:
-    """Probe one O(1)-described shard against the attached plane."""
-    plane, perm, loss_key, crash, _shared = _POOL_STATE["plane"]
-    if crash is not None:
-        crash.check(0, index)
-    stats = ScanStats()
-    hits: set[int] = set()
-    responsive = plane.probe_range(perm, start, stop, loss_key, stats, hits)
-    return index, responsive, stats

@@ -6,7 +6,7 @@ frozen :class:`~repro.scanner.plane.ScanPlane`: each
 :meth:`ScanExecution.step` executes exactly one probe batch (a round-0
 chunk or a retry chunk, with round transitions, pending-set
 computation, and checkpoint writes happening between batches).
-``Scanner._scan_batched`` drives an execution to completion, so the
+:meth:`Scanner.scan` drives an execution to completion, so the
 single-campaign path *is* this code; the campaign service
 (:mod:`repro.service`) interleaves steps of many executions over one
 process instead.
@@ -46,7 +46,7 @@ class ScanExecution:
     """One scan's remaining work, executable one batch at a time.
 
     Built by :meth:`Scanner.start_execution` (or internally by
-    ``Scanner._scan_batched``) over deduplicated target columns, for a
+    :meth:`Scanner.scan`) over deduplicated target columns, for a
     truth/blacklist pair :meth:`ScanPlane.supports` accepts.  Call
     :meth:`step` until it returns False, then read :meth:`result`.
     ``stats`` and ``hits`` are live: a scheduler can read
@@ -112,24 +112,12 @@ class ScanExecution:
         # plane and the already-computed pending sets describe a world
         # that no longer exists, so step() refuses to continue.
         self.world_version = getattr(scanner.truth, "world_version", None)
-        self._round0_external = False
         self._result = None
         self._gen = self._work()
 
     @property
     def finished(self) -> bool:
         return self._result is not None
-
-    def skip_round0(self) -> None:
-        """Mark round 0 as executed externally (the worker pool).
-
-        ``Scanner._scan_batched`` shards round 0 across a process pool
-        when configured; the execution then owns only the retry rounds.
-        Must be called before the first :meth:`step`.
-        """
-        if self.batches_done:
-            raise RuntimeError("cannot skip round 0 of a started execution")
-        self._round0_external = True
 
     def step(self) -> bool:
         """Execute one probe batch; False once the scan has finished.
@@ -202,8 +190,8 @@ class ScanExecution:
         """Yield once per executed batch.
 
         A monolithic :meth:`Scanner.scan` runs this same generator to
-        exhaustion (after the pool, if any, took round 0), so a stepped
-        execution is bit-identical to it by construction.
+        exhaustion, so a stepped execution is bit-identical to it by
+        construction.
         """
         from .engine import _round_key
 
@@ -217,24 +205,20 @@ class ScanExecution:
         n = self.n
         start_round = self.start_round
         if start_round == 0:
-            if not self._round0_external:
-                for start in range(self.start_batch * batch_size, n, batch_size):
-                    index = start // batch_size
-                    if crash is not None:
-                        crash.check(0, index)
-                    new_hits = plane.probe_range(
-                        perm, start, min(start + batch_size, n),
-                        loss_key, stats, hits,
-                    )
-                    tele.count("scan.batches")
-                    if checkpoint is not None:
-                        checkpoint.note_batch(new_hits)
-                        checkpoint.checkpoint(0, index + 1, stats)
-                    yield
+            for start in range(self.start_batch * batch_size, n, batch_size):
+                index = start // batch_size
+                if crash is not None:
+                    crash.check(0, index)
+                new_hits = plane.probe_range(
+                    perm, start, min(start + batch_size, n),
+                    loss_key, stats, hits,
+                )
+                tele.count("scan.batches")
+                if checkpoint is not None:
+                    checkpoint.note_batch(new_hits)
+                    checkpoint.checkpoint(0, index + 1, stats)
+                yield
             start_round = 1
-        # Retry rounds always run in-process: the pending set is a
-        # shrinking fraction of the target list, and every verdict is
-        # the same pure function a pool worker would compute.
         # Checkpoints for retry rounds land only on round boundaries —
         # the pending set is derived from the hits at round start, so a
         # boundary checkpoint is exactly recomputable on resume.

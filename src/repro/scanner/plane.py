@@ -8,19 +8,16 @@ as a second mask table, and the (optional) fault model — so one probe
 batch is a handful of vectorised numpy passes instead of a Python loop
 over boxed 128-bit ints.
 
-The same :meth:`ScanPlane.probe_range` runs in-process and inside pool
-workers: a pooled scan ships the plane's arrays through one
-shared-memory segment (:mod:`repro.scanner.shm`) and each shard task is
-just an index range, so worker dispatch is O(1) per shard regardless of
-target count.  Workers rebuild the cyclic permutation from ``(n,
-perm_key)`` and read their shard's columns straight out of the segment.
+Every scan runs in-process: :class:`~repro.scanner.execution.
+ScanExecution` walks the permuted targets through
+:meth:`ScanPlane.probe_range` one batch at a time.
 
 Parity contract: every verdict here is the same pure function of
 ``(key, address, attempt)`` the scalar reference path computes —
 :func:`loss_prf_arr` matches ``engine._loss_prf`` bit-for-bit (uint64
 hash, then one exact power-of-two float scaling), membership tables are
 exact, and fault models vectorise their own PRFs — so hits and stats
-are identical to the reference scan for any batch size or worker count.
+are identical to the reference scan for any batch size.
 ``ScanPlane.supports`` gates the plane to the exact types it can
 snapshot (subclassed truths/blacklists scan through the engine's
 per-address reference path, which obeys dynamic dispatch).
@@ -33,7 +30,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ..ipv6.addrplane import FrozenKeySet, PrefixMaskTable, unpack
-from ..simnet.ground_truth import ICMPV6, GroundTruth
+from ..simnet.ground_truth import GroundTruth
 from .blacklist import Blacklist
 from .schedule import CyclicPermutation, _mix64_np
 
@@ -140,11 +137,7 @@ class ScanPlane:
             lo,
             blacklist_table=blacklist.frozen_table() if blacklist else None,
             host_keys=truth.frozen_hosts(port),
-            # ICMPv6 pings match any aliased region regardless of its
-            # port set (the scalar find_many contract).
-            alias_table=truth.aliased.frozen_table(
-                None if port == ICMPV6 else port
-            )
+            alias_table=truth.aliased.frozen_table(port)
             if truth.aliased
             else None,
             fault=fault,
@@ -166,66 +159,18 @@ class ScanPlane:
                 "the world"
             )
 
-    # -- shared-memory transport -------------------------------------------
-    def shared_payload(self) -> tuple[dict[str, np.ndarray], dict]:
-        """Split the plane into (arrays for shm, picklable metadata)."""
-        arrays = {"targets_hi": self.hi, "targets_lo": self.lo}
-        meta: dict = {
-            "loss_rate": self.loss_rate,
-            "port": self.port,
-            "fault": self.fault,
-            "hosts": False,
-            "world_version": self.world_version,
-        }
-        if len(self.host_keys):
-            arrays["hosts"] = self.host_keys.keys
-            meta["hosts"] = True
-        for label, table in (
-            ("bl", self.blacklist_table),
-            ("alias", self.alias_table),
-        ):
-            if table is not None:
-                arrays[f"{label}_bounds"] = table.bounds
-        return arrays, meta
-
-    @classmethod
-    def from_shared(cls, meta: dict, arrays: dict[str, np.ndarray]) -> "ScanPlane":
-        """Rebuild a plane from shared-memory views (worker side)."""
-
-        def table(label: str) -> PrefixMaskTable | None:
-            bounds = arrays.get(f"{label}_bounds")
-            return None if bounds is None else PrefixMaskTable(bounds)
-
-        host_keys = (
-            FrozenKeySet(arrays["hosts"])
-            if meta["hosts"]
-            else FrozenKeySet.from_ints(())
-        )
-        return cls(
-            arrays["targets_hi"],
-            arrays["targets_lo"],
-            blacklist_table=table("bl"),
-            host_keys=host_keys,
-            alias_table=table("alias"),
-            fault=meta["fault"],
-            loss_rate=meta["loss_rate"],
-            port=meta["port"],
-            world_version=meta.get("world_version"),
-        )
-
     # -- probing ------------------------------------------------------------
     def gather(
         self, perm: CyclicPermutation | None, start: int, stop: int
     ) -> tuple[np.ndarray, np.ndarray]:
-        """One shard's target columns, in permuted probe order.
+        """One batch's target columns, in permuted probe order.
 
         The whole permuted column pair is materialised on first use:
         one big vectorised Feistel walk plus one fancy-gather beats
         thousands of small per-batch ones (the cycle-walk loop's fixed
         numpy overhead dominates at batch granularity), after which
-        every shard is a zero-copy slice.  The copy costs 16 bytes per
-        target, the size of the columns themselves, and pool workers
-        each materialise it once at their first shard.
+        every batch is a zero-copy slice.  The copy costs 16 bytes per
+        target, the size of the columns themselves.
         """
         if perm is None:
             return self.hi[start:stop], self.lo[start:stop]

@@ -30,8 +30,8 @@ DEFAULT_PROBE_RATE_PPS = 100_000
 class ScanStats:
     """Counters for one scan: probes sent, responses, drops, retries.
 
-    Every field is an order-independent sum, so per-chunk stats from
-    sharded scan workers merge into exactly the sequential totals.
+    Every field is an order-independent sum, so per-phase stats of a
+    campaign merge into exactly the totals of one uninterrupted scan.
     ``probes_sent`` counts first-attempt probes only; retransmissions
     are tallied separately in ``retransmits`` so retry-enabled runs
     stay comparable (probe budgets are first-attempt budgets) while

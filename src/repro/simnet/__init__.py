@@ -26,7 +26,6 @@ from .dns import DnsRecord, SeedCollection, collect_seeds, seeds_of_type
 from .validate import Problem, validate_specs
 from .worldfile import WorldFileError, load_world, save_internet, save_world
 from .ground_truth import (
-    ICMPV6,
     BuiltNetwork,
     GroundTruth,
     NetworkSpec,
@@ -56,7 +55,6 @@ __all__ = [
     "DynamicWorld",
     "EUI64Policy",
     "GroundTruth",
-    "ICMPV6",
     "HexWordPolicy",
     "IPv4EmbeddedPolicy",
     "LowBytePolicy",

@@ -48,9 +48,9 @@ class AliasedRegionSet:
 
     Lengths are checked shortest-first, so :meth:`find` returns the
     *shortest* containing region when regions nest (e.g. an aliased /56
-    carved around an aliased /96).  The batched lookups
-    (:meth:`find_many` / :meth:`responds_many`) additionally cache the
-    ≤/64 part of each decision per /64 block: target streams from 6Gen
+    carved around an aliased /96).  The batched lookup
+    (:meth:`responds_many`) additionally caches the ≤/64 part of each
+    decision per /64 block: target streams from 6Gen
     are locality-heavy (cluster ranges vary low nybbles), so successive
     addresses usually share a /64 and skip the per-length walk.
     """
@@ -64,8 +64,8 @@ class AliasedRegionSet:
     _short_cache: dict[int, tuple[AliasedRegion, ...]] = field(
         default_factory=dict, repr=False, compare=False
     )
-    #: port (or ``None`` for "any port") -> frozen mask table for the
-    #: array scan plane; invalidated on every mutation.
+    #: port -> frozen mask table for the array scan plane; invalidated
+    #: on every mutation.
     _frozen_tables: dict = field(default_factory=dict, repr=False, compare=False)
     #: Monotone mutation counter (see ``GroundTruth.world_version``).
     _version: int = field(default=0, repr=False, compare=False)
@@ -155,26 +155,6 @@ class AliasedRegionSet:
             if length > 64
         ]
 
-    def find_many(self, addrs: Iterable[int]) -> list[AliasedRegion | None]:
-        """Batched :meth:`find` (same shortest-prefix contract)."""
-        addrs = [int(a) for a in addrs]
-        if not self._lengths:
-            return [None] * len(addrs)
-        long_index = self._long_index()
-        out: list[AliasedRegion | None] = []
-        for value in addrs:
-            shorts = self._short_regions(value)
-            if shorts:
-                out.append(shorts[0])
-                continue
-            found = None
-            for mask, bucket in long_index:
-                found = bucket.get(value & mask)
-                if found is not None:
-                    break
-            out.append(found)
-        return out
-
     def responds_many(self, addrs: Iterable[int], port: int) -> list[bool]:
         """Batched :meth:`responds` for the chunked scan path."""
         addrs = [int(a) for a in addrs]
@@ -194,23 +174,21 @@ class AliasedRegionSet:
         return out
 
     # -- array plane --------------------------------------------------------
-    def frozen_table(self, port: int | None = None) -> "PrefixMaskTable | None":
+    def frozen_table(self, port: int) -> "PrefixMaskTable | None":
         """Regions answering ``port`` as a frozen mask table.
 
-        ``port=None`` means "any port" (the ICMPv6 / :meth:`find`
-        contract: a region matches regardless of its port set).  Tables
-        are memoised per port until the next :meth:`add`; ``None`` is
-        returned when no region qualifies.
+        Tables are memoised per port until the next :meth:`add`;
+        ``None`` is returned when no region qualifies.
         """
-        key = None if port is None else int(port)
-        if key in self._frozen_tables:
-            return self._frozen_tables[key]
+        port = int(port)
+        if port in self._frozen_tables:
+            return self._frozen_tables[port]
         networks: dict[int, list[int]] = {}
         for length in self._lengths:
             matching = [
                 network
                 for network, region in self._by_length[length].items()
-                if key is None or key in region.ports
+                if port in region.ports
             ]
             if matching:
                 networks[length] = matching
@@ -220,7 +198,7 @@ class AliasedRegionSet:
             table = PrefixMaskTable.from_networks(networks)
         else:
             table = None
-        self._frozen_tables[key] = table
+        self._frozen_tables[port] = table
         return table
 
     def responds_arr(
@@ -228,15 +206,6 @@ class AliasedRegionSet:
     ) -> "np.ndarray":
         """Array-native :meth:`responds_many` over hi/lo uint64 columns."""
         table = self.frozen_table(port)
-        if table is None:
-            import numpy as np
-
-            return np.zeros(len(hi), dtype=bool)
-        return table.match_any(hi, lo)
-
-    def contains_arr(self, hi: "np.ndarray", lo: "np.ndarray") -> "np.ndarray":
-        """True where *any* region (any port) contains the address."""
-        table = self.frozen_table(None)
         if table is None:
             import numpy as np
 

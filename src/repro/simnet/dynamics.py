@@ -362,8 +362,8 @@ class DynamicWorld:
     and call :meth:`advance_to` to move the clock.  All mutations run
     through the ground truth's ``add_host`` / ``remove_host`` and the
     aliased set's ``add`` / ``remove`` hooks, so every memoised table
-    (merged ping targets, frozen host keys, per-/64 alias decisions,
-    frozen mask tables, the internet-level active-host union)
+    (frozen host keys, per-/64 alias decisions, frozen mask tables,
+    the internet-level active-host union)
     invalidates, and the truth's ``world_version`` token advances —
     which is what makes stale :class:`~repro.scanner.plane.ScanPlane`
     reuse raise instead of probing an old world.

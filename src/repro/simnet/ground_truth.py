@@ -76,18 +76,11 @@ class BuiltNetwork:
     aliased_regions: list[AliasedRegion]
 
 
-#: Pseudo-port for ICMPv6 echo probes (the Entropy/IP authors' probe
-#: type).  Every active host answers pings regardless of its services.
-ICMPV6 = 0
-
-
 class GroundTruth:
     """Oracle answering "would this probe get a response?".
 
     An address responds on a port if it is an active host listening on
     that port, or if it falls inside an aliased region for that port.
-    The pseudo-port :data:`ICMPV6` (0) models ping: every active host
-    responds, as do aliased regions that answer any TCP port.
     """
 
     def __init__(
@@ -97,7 +90,6 @@ class GroundTruth:
     ):
         self._hosts_by_port = hosts_by_port
         self.aliased = aliased
-        self._all_hosts: set[int] | None = None
         self._frozen_hosts: "dict[int, FrozenKeySet]" = {}
         self._version = 0
 
@@ -121,31 +113,16 @@ class GroundTruth:
         its bulk mutations through the add/remove hooks, which call
         this themselves.
         """
-        self._all_hosts = None
         self._frozen_hosts.clear()
         self._version += 1
 
-    def _ping_targets(self) -> set[int]:
-        """All hosts on any port, memoised until the next mutation.
-
-        The merged set is shared — treat it as read-only; mutate hosts
-        only through :meth:`add_host` / :meth:`remove_host` so the
-        cache invalidates.
-        """
-        if self._all_hosts is None:
-            merged: set[int] = set()
-            for hosts in self._hosts_by_port.values():
-                merged |= hosts
-            self._all_hosts = merged
-        return self._all_hosts
-
     def add_host(self, addr: int, port: int = 80) -> None:
-        """Add an active host (invalidates the merged-host cache)."""
+        """Add an active host (invalidates the frozen host tables)."""
         self._hosts_by_port.setdefault(port, set()).add(int(addr))
         self.invalidate()
 
     def remove_host(self, addr: int, port: int = 80) -> None:
-        """Retire a host from a port (invalidates the merged-host cache)."""
+        """Retire a host from a port (invalidates the frozen host tables)."""
         hosts = self._hosts_by_port.get(port)
         if hosts is not None:
             hosts.discard(int(addr))
@@ -160,10 +137,6 @@ class GroundTruth:
         per-probe drop decisions on it.
         """
         value = int(addr)
-        if port == ICMPV6:
-            if value in self._ping_targets():
-                return True
-            return self.aliased.find(value) is not None
         hosts = self._hosts_by_port.get(port)
         if hosts is not None and value in hosts:
             return True
@@ -181,20 +154,15 @@ class GroundTruth:
         and honoured by fault overlays, as in :meth:`is_responsive`.
         """
         addrs = [int(a) for a in addrs]
-        if port == ICMPV6:
-            hosts: set[int] = self._ping_targets()
-        else:
-            hosts = self._hosts_by_port.get(port) or set()
+        hosts = self._hosts_by_port.get(port) or set()
         present = hosts.intersection(addrs) if hosts else hosts
         flags = [a in present for a in addrs]
         if self.aliased:
             pending = [i for i, flag in enumerate(flags) if not flag]
             if pending:
-                chunk = [addrs[i] for i in pending]
-                if port == ICMPV6:
-                    found = [r is not None for r in self.aliased.find_many(chunk)]
-                else:
-                    found = self.aliased.responds_many(chunk, port)
+                found = self.aliased.responds_many(
+                    [addrs[i] for i in pending], port
+                )
                 for i, flag in zip(pending, found):
                     if flag:
                         flags[i] = True
@@ -204,18 +172,13 @@ class GroundTruth:
         """The port's host set as a frozen sorted-key table, memoised.
 
         Invalidated by :meth:`add_host` / :meth:`remove_host`; the
-        backing array is an immutable snapshot suitable for sharing
-        with scan workers.
+        backing array is an immutable snapshot.
         """
         table = self._frozen_hosts.get(port)
         if table is None:
             from ..ipv6.addrplane import FrozenKeySet
 
-            if port == ICMPV6:
-                hosts: Iterable[int] = self._ping_targets()
-            else:
-                hosts = self._hosts_by_port.get(port) or ()
-            table = FrozenKeySet.from_ints(hosts)
+            table = FrozenKeySet.from_ints(self._hosts_by_port.get(port) or ())
             self._frozen_hosts[port] = table
         return table
 
@@ -234,22 +197,15 @@ class GroundTruth:
         """
         flags = self.frozen_hosts(port).member(hi, lo)
         if self.aliased:
-            if port == ICMPV6:
-                flags |= self.aliased.contains_arr(hi, lo)
-            else:
-                flags |= self.aliased.responds_arr(hi, lo, port)
+            flags |= self.aliased.responds_arr(hi, lo, port)
         return flags
 
     def is_aliased(self, addr: int, port: int = 80) -> bool:
         """True if the address responds only because of region aliasing."""
-        if port == ICMPV6:
-            return self.aliased.find(int(addr)) is not None
         return self.aliased.responds(int(addr), port)
 
     def hosts(self, port: int = 80) -> set[int]:
         """The distinct real hosts on a port (aliased space excluded)."""
-        if port == ICMPV6:
-            return self._ping_targets()
         return self._hosts_by_port.get(port, set())
 
     def host_count(self, port: int = 80) -> int:
@@ -305,8 +261,8 @@ class SimInternet:
     def invalidate_caches(self) -> None:
         """Drop memoised host sets after an in-place mutation.
 
-        Also invalidates the ground truth's memoised merged/frozen
-        host tables (and bumps its mutation token): every mutation
+        Also invalidates the ground truth's memoised frozen host
+        tables (and bumps its mutation token): every mutation
         path that edits ``networks[*].active_hosts`` in place is
         expected to have touched the truth as well, and a stale
         frozen-host snapshot is the silent-wrong-answer failure mode

@@ -5,7 +5,7 @@ The observability layer for the whole pipeline (see
 
 * :mod:`~repro.telemetry.metrics` — named counters/gauges/histograms
   whose snapshots merge associatively and commutatively (the
-  ``ScanStats.merge`` contract, so worker shards combine exactly);
+  ``ScanStats.merge`` contract, so partial runs combine exactly);
 * :mod:`~repro.telemetry.spans` — nested timed spans with per-span
   counter attribution, plus the :class:`Telemetry` façade and the
   inert :data:`NULL_TELEMETRY` default;

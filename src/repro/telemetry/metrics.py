@@ -5,10 +5,10 @@ paths increment named metrics, and a :meth:`MetricsRegistry.snapshot`
 freezes the current values into a plain-data
 :class:`MetricsSnapshot`.  Snapshots obey the same contract as
 :meth:`repro.scanner.probe.ScanStats.merge` — ``merge`` is associative
-and commutative — so per-worker metrics from the
-:attr:`~repro.scanner.engine.ScanConfig.workers` process shards (or
-any other partition of a run) combine into exactly the totals the
-sequential path would have recorded, regardless of completion order.
+and commutative — so metrics from any partition of a run (one
+snapshot per scan, per campaign phase or per generation shard)
+combine into exactly the totals one registry would have recorded,
+regardless of completion order.
 
 Merge rules per metric kind:
 
@@ -212,7 +212,7 @@ class MetricsSnapshot:
 
 
 class MetricsRegistry:
-    """Named metrics for one run (or one worker shard of a run).
+    """Named metrics for one run (or one shard of a run).
 
     ``counter`` / ``gauge`` / ``histogram`` are get-or-create, so
     instrumented code never needs to pre-declare a metric; asking for

@@ -114,7 +114,7 @@ class Telemetry:
         return self.registry.snapshot()
 
     def merge_snapshot(self, snapshot: MetricsSnapshot) -> None:
-        """Fold a worker shard's snapshot into this registry.
+        """Fold a snapshot (one scan's stats, say) into this registry.
 
         Addition order does not matter (snapshot ``merge`` is
         commutative), so shards may land in any completion order and

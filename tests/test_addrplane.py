@@ -3,13 +3,12 @@
 Covers the hi/lo column codec (round-trips through ints and
 ``IPv6Addr``), the frozen lookup tables against their scalar
 counterparts, the vectorised loss/fault PRFs against the scalar
-reference forms, the shared-memory transport (O(1) shard payloads, no
-``/dev/shm`` leaks even through injected crashes), and end-to-end
+reference forms, the generation pool's shared-memory handoff (one
+publish/consume round trip), and end-to-end
 hit-for-hit / stat-for-stat parity of the array plane against the
 sequential reference path.
 """
 
-import pickle
 import random
 
 import numpy as np
@@ -22,7 +21,6 @@ from repro.faults import (
     CompositeFault,
     FaultyGroundTruth,
     FlakyHosts,
-    InjectedWorkerCrash,
     RateLimiter,
     WorkerCrash,
     compose,
@@ -46,9 +44,9 @@ from repro.scanner.blacklist import Blacklist
 from repro.scanner.checkpoint import ScanCheckpointer
 from repro.scanner.engine import ScanConfig, Scanner, _loss_prf
 from repro.scanner.plane import ScanPlane, loss_prf_arr
-from repro.scanner.shm import SEGMENT_PREFIX, SharedArrays
+from repro.scanner.shm import SEGMENT_PREFIX, consume_arrays, publish_arrays
 from repro.simnet.aliasing import AliasedRegionSet
-from repro.simnet.ground_truth import ICMPV6, GroundTruth
+from repro.simnet.ground_truth import GroundTruth
 from repro.telemetry import JsonlSink, Telemetry
 
 addrs_128 = st.integers(min_value=0, max_value=(1 << 128) - 1)
@@ -220,11 +218,6 @@ def _probe_addresses(prefixes: list[Prefix], rng: random.Random) -> list[int]:
     return queries + [rng.getrandbits(128) for _ in range(30)] + CORNERS
 
 
-def _rebuilt(plane: ScanPlane) -> ScanPlane:
-    arrays, meta = plane.shared_payload()
-    return ScanPlane.from_shared(meta, arrays)
-
-
 class TestPrefixMaskTable:
     @settings(max_examples=40)
     @given(st.data())
@@ -237,7 +230,7 @@ class TestPrefixMaskTable:
         assert blacklist.frozen_table().match_any(hi, lo).tolist() == expected
         assert blacklist.contains_arr(hi, lo).tolist() == expected
         truth = GroundTruth({80: set()}, AliasedRegionSet())
-        plane = _rebuilt(ScanPlane.build(truth, blacklist, (hi, lo), 80, 0.0))
+        plane = ScanPlane.build(truth, blacklist, (hi, lo), 80, 0.0)
         assert plane.blacklist_table.match_any(hi, lo).tolist() == expected
 
     @settings(max_examples=40)
@@ -252,16 +245,12 @@ class TestPrefixMaskTable:
         hi, lo = pack(queries)
         responds = regions.responds_many(queries, 80)
         assert regions.responds_arr(hi, lo, 80).tolist() == responds
-        found = [regions.find(q) is not None for q in queries]
-        assert regions.contains_arr(hi, lo).tolist() == found
         truth = GroundTruth({80: set()}, regions)
-        for port, expected in ((80, responds), (ICMPV6, found)):
-            plane = _rebuilt(ScanPlane.build(truth, Blacklist(), (hi, lo), port, 0.0))
-            table = plane.alias_table
-            if table is None:  # no region answers the port
-                assert not any(expected)
-            else:
-                assert table.match_any(hi, lo).tolist() == expected
+        table = ScanPlane.build(truth, Blacklist(), (hi, lo), 80, 0.0).alias_table
+        if table is None:  # no region answers the port
+            assert not any(responds)
+        else:
+            assert table.match_any(hi, lo).tolist() == responds
 
     def test_from_networks_keeps_maximal_prefixes(self):
         def bounds(networks_by_length):
@@ -347,10 +336,9 @@ def _fault_world(n_hosts=150, n_misses=300, seed=4, faulty=False):
 class TestScanPlaneParity:
     """The array plane must be hit-for-hit, stat-for-stat identical."""
 
-    @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("retries", [0, 2])
     @pytest.mark.parametrize("faulty", [False, True])
-    def test_matches_reference(self, workers, retries, faulty):
+    def test_matches_reference(self, retries, faulty):
         truth, targets, blacklist = _fault_world(faulty=faulty)
 
         def scan(config):
@@ -361,9 +349,7 @@ class TestScanPlaneParity:
             return scanner.scan(targets)
 
         reference = scan(ScanConfig(use_batched=False, retries=retries))
-        arrays = scan(
-            ScanConfig(batch_size=64, workers=workers, retries=retries)
-        )
+        arrays = scan(ScanConfig(batch_size=64, retries=retries))
         assert arrays.hits == reference.hits
         assert arrays.stats == reference.stats
 
@@ -408,10 +394,9 @@ class TestScanPlaneParity:
             )
 
         reference = scanner(truth, use_batched=False).scan(targets)
-        for workers in (1, 2):
-            result = scanner(opaque, workers=workers).scan(targets)
-            assert result.hits == reference.hits
-            assert result.stats == reference.stats
+        result = scanner(opaque).scan(targets)
+        assert result.hits == reference.hits
+        assert result.stats == reference.stats
         with pytest.raises(ValueError, match="batched scan path"):
             scanner(opaque).start_execution(targets)
         sink = JsonlSink(tmp_path / "ckpt.jsonl")
@@ -427,55 +412,15 @@ class TestSharedMemoryTransport:
         arrays = {
             "a": np.arange(10, dtype=np.uint64),
             "keys": np.sort(fuse_ints([3, 1 << 100, 7])),
+            "empty": np.empty(0, dtype=np.uint64),
         }
-        shared = SharedArrays.create(arrays)
-        try:
-            attached = SharedArrays.attach(shared.spec)
-            assert np.array_equal(attached.arrays["a"], arrays["a"])
-            assert np.array_equal(attached.arrays["keys"], arrays["keys"])
-            assert not attached.arrays["a"].flags.writeable
-            attached.close()
-        finally:
-            shared.close()
-
-    def test_shard_payload_is_o1_in_target_count(self):
-        """Worker dispatch must not scale with the target list."""
-        truth, _, blacklist = _fault_world()
-        rng = random.Random(0)
-
-        def meta_size(n):
-            targets = [rng.getrandbits(128) for _ in range(n)]
-            plane = ScanPlane.build(truth, blacklist, pack(targets), 80, 0.1)
-            _, meta = plane.shared_payload()
-            return len(pickle.dumps(meta))
-
-        small, large = meta_size(50), meta_size(5000)
-        assert large == small  # metadata is layout only, never targets
-        # and a shard task itself is three small integers
-        assert len(pickle.dumps((7, 123_456, 127_552))) < 64
-
-    def test_no_shm_leak_after_pooled_scan(self):
-        truth, targets, blacklist = _fault_world()
-        Scanner(
-            truth, blacklist=blacklist, loss_rate=0.1, rng_seed=1,
-            config=ScanConfig(batch_size=32, workers=2),
-        ).scan(targets)
-        assert not list(self._segments())
-
-    def test_no_shm_leak_after_injected_worker_crash(self):
-        truth, targets, blacklist = _fault_world()
-        with pytest.raises(InjectedWorkerCrash):
-            Scanner(
-                truth, blacklist=blacklist, loss_rate=0.1, rng_seed=1,
-                config=ScanConfig(batch_size=32, workers=2),
-            ).scan(targets, crash=WorkerCrash(at_batch=3))
-        assert not list(self._segments())
-
-    @staticmethod
-    def _segments():
-        import pathlib
-
-        shm_dir = pathlib.Path("/dev/shm")
-        if not shm_dir.is_dir():  # pragma: no cover - non-Linux
-            return
-        yield from shm_dir.glob(f"{SEGMENT_PREFIX}*")
+        spec = publish_arrays(arrays)
+        assert spec["segment"].startswith(SEGMENT_PREFIX)
+        consumed = consume_arrays(spec)
+        assert consumed.keys() == arrays.keys()
+        for name, array in arrays.items():
+            assert consumed[name].dtype == array.dtype
+            assert np.array_equal(consumed[name], array)
+        # consuming unlinks: the segment is gone
+        with pytest.raises(FileNotFoundError):
+            consume_arrays(spec)

@@ -46,12 +46,9 @@ def _reference(context, spec):
 
 
 class TestCampaignParity:
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_monolithic_run_matches_reference(self, workers):
+    def test_monolithic_run_matches_reference(self):
         context = _context()
-        spec = _spec(
-            scan_config=ScanConfig(batch_size=128, retries=1, workers=workers)
-        )
+        spec = _spec(scan_config=ScanConfig(batch_size=128, retries=1))
         scan, report = _reference(context, spec)
         result = _campaign(context, spec).run()
         assert result.raw_hits == scan.hits
@@ -59,13 +56,11 @@ class TestCampaignParity:
         assert result.clean_hits == report.clean_hits
         assert result.aliased_hits == report.aliased_hits
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_run_full_scan_wrapper_matches_campaign(self, workers):
-        # The wrapper is a campaign at default settings; the scan's
-        # worker count never changes the result.
+    def test_run_full_scan_wrapper_matches_campaign(self):
+        # The wrapper is a campaign at default settings.
         context = _context()
         wrapped = ex.run_full_scan(context, BUDGET)
-        spec = CampaignSpec(budget=BUDGET, scan_config=ScanConfig(workers=workers))
+        spec = CampaignSpec(budget=BUDGET, scan_config=ScanConfig())
         result = _campaign(context, spec).run()
         assert wrapped.raw_hits == result.raw_hits
         assert wrapped.scan.stats == result.scan.stats

@@ -31,12 +31,12 @@ def _world(n_hosts=200, n_misses=400, seed=11):
     return truth, targets
 
 
-def _scan(truth, targets, *, retries=0, workers=1, loss=0.2, **kwargs):
+def _scan(truth, targets, *, retries=0, loss=0.2, **kwargs):
     scanner = Scanner(
         truth,
         loss_rate=loss,
         rng_seed=5,
-        config=ScanConfig(batch_size=32, workers=workers, retries=retries),
+        config=ScanConfig(batch_size=32, retries=retries),
     )
     return scanner.scan(targets, **kwargs)
 
@@ -184,18 +184,17 @@ class TestCheckpointFile:
 
 
 class TestResumeParity:
-    @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("retries", [0, 2])
-    def test_crash_then_resume_is_bit_identical(self, tmp_path, workers, retries):
+    def test_crash_then_resume_is_bit_identical(self, tmp_path, retries):
         truth, targets = _world()
-        baseline = _scan(truth, targets, retries=retries, workers=workers)
+        baseline = _scan(truth, targets, retries=retries)
 
         path = tmp_path / "ckpt.jsonl"
         sink = JsonlSink(path)
         ckpt = ScanCheckpointer(sink, every_batches=2)
         with pytest.raises(InjectedWorkerCrash):
             _scan(
-                truth, targets, retries=retries, workers=workers,
+                truth, targets, retries=retries,
                 checkpoint=ckpt, crash=WorkerCrash(at_batch=9),
             )
         sink.close()
@@ -204,7 +203,7 @@ class TestResumeParity:
         assert state is not None and not state.complete
         sink = JsonlSink(path)
         resumed = _scan(
-            truth, targets, retries=retries, workers=workers,
+            truth, targets, retries=retries,
             checkpoint=ScanCheckpointer(sink, every_batches=2), resume=state,
         )
         sink.close()
@@ -421,18 +420,17 @@ class TestBlacklistInteraction:
 
 
 class TestCrossFeatureMatrix:
-    """Checkpoint/resume × retries × rate-limit policy × workers.
+    """Checkpoint/resume × retries × rate-limit policy.
 
     Every combination must resume bit-identical to an uninterrupted
     run — including when a scheduling policy (the shared RatePolicy
     core, enforced network-side by the RateLimiter overlay) is active.
     """
 
-    @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("retries", [0, 2])
     @pytest.mark.parametrize("rate_limited", [False, True])
     def test_resume_bit_identical_under_policy(
-        self, tmp_path, workers, retries, rate_limited
+        self, tmp_path, retries, rate_limited
     ):
         from repro.faults import FaultyGroundTruth, RateLimiter
         from repro.scanner.schedule import RatePolicy
@@ -445,13 +443,13 @@ class TestCrossFeatureMatrix:
                     RatePolicy(budget=96, window=128), seed=3, prefix_len=64
                 ),
             )
-        baseline = _scan(truth, targets, retries=retries, workers=workers)
+        baseline = _scan(truth, targets, retries=retries)
 
         path = tmp_path / "ckpt.jsonl"
         sink = JsonlSink(path)
         with pytest.raises(InjectedWorkerCrash):
             _scan(
-                truth, targets, retries=retries, workers=workers,
+                truth, targets, retries=retries,
                 checkpoint=ScanCheckpointer(sink, every_batches=2),
                 crash=WorkerCrash(at_batch=7),
             )
@@ -460,7 +458,7 @@ class TestCrossFeatureMatrix:
         state = load_scan_checkpoint(path)
         assert state is not None and not state.complete
         resumed = _scan(
-            truth, targets, retries=retries, workers=workers, resume=state
+            truth, targets, retries=retries, resume=state
         )
         assert resumed.hits == baseline.hits
         assert resumed.stats == baseline.stats

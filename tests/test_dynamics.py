@@ -158,24 +158,6 @@ class TestCrossProcessDeterminism:
         local = hashlib.sha256(hi.tobytes() + lo.tobytes()).hexdigest()
         assert local == runs[0]
 
-    def test_scan_hits_identical_at_workers_1_and_2(self):
-        world = _world()
-        dyn = DynamicWorld(world, churn_seed=CHURN_SEED)
-        dyn.advance_to(3)
-        targets = sorted(world.all_active_hosts())
-        results = {}
-        for workers in (1, 2):
-            scanner = Scanner(
-                world.truth,
-                config=ScanConfig(
-                    use_batched=True, batch_size=64, workers=workers
-                ),
-                rng_seed=3,
-            )
-            results[workers] = scanner.scan(targets, port=80)
-        assert results[1].hits == results[2].hits
-        assert results[1].stats == results[2].stats
-
 
 class TestCacheInvalidation:
     """Satellite 1: every churn mutation path must defeat the memos."""
@@ -191,16 +173,14 @@ class TestCacheInvalidation:
             a for n in world.networks for a in n.active_hosts
         }
 
-    def test_frozen_hosts_and_ping_targets_track_truth_mutations(self):
+    def test_frozen_hosts_track_truth_mutations(self):
         world = _world()
         truth = world.truth
         frozen_before = truth.frozen_hosts(80)
-        ping_before = len(truth._ping_targets())
         new_addr = 0x2001_0DB8_0000_0000_0000_0000_0000_9999
         truth.add_host(new_addr, 80)
         assert truth.is_responsive(new_addr, 80)
         assert len(truth.frozen_hosts(80)) == len(frozen_before) + 1
-        assert len(truth._ping_targets()) == ping_before + 1
         truth.remove_host(new_addr, 80)
         assert not truth.is_responsive(new_addr, 80)
         assert len(truth.frozen_hosts(80)) == len(frozen_before)
@@ -282,7 +262,7 @@ class TestStaleWorldGuard:
         with pytest.raises(StaleWorldError):
             execution.step()
 
-    def test_plane_ensure_fresh_and_shared_payload_token(self):
+    def test_plane_ensure_fresh_token(self):
         from repro.ipv6.addrplane import pack
         from repro.scanner.blacklist import Blacklist
 
@@ -294,14 +274,9 @@ class TestStaleWorldGuard:
         )
         assert plane.world_version == world.truth.world_version
         plane.ensure_fresh(world.truth)
-        arrays, meta = plane.shared_payload()
-        rebuilt = ScanPlane.from_shared(meta, arrays)
-        assert rebuilt.world_version == plane.world_version
         dyn.advance_to(2)
         with pytest.raises(StaleWorldError):
             plane.ensure_fresh(world.truth)
-        with pytest.raises(StaleWorldError):
-            rebuilt.ensure_fresh(world.truth)
 
     def test_mid_campaign_mutation_regression(self):
         """A stepped campaign spanning an epoch advance fails loudly."""

@@ -1,6 +1,5 @@
 """Tests for the §8 exploration drivers."""
 
-import pytest
 
 from repro.analysis import extensions as ext
 
@@ -114,16 +113,3 @@ class TestAdaptiveComparison:
         assert adaptive.aliased_responses < classic.aliased_responses
         assert adaptive.probes <= classic.probes
         assert "scanner integration" in ext.format_adaptive_comparison(rows)
-
-
-class TestProbeTypes:
-    def test_icmp_population_larger(self):
-        rows = ext.probe_type_experiment(budget=BUDGET, scale=SCALE)
-        by_probe = {r.probe: r for r in rows}
-        assert by_probe["ICMPv6"].true_population >= by_probe["TCP/80"].true_population
-        assert by_probe["ICMPv6"].raw_hits >= by_probe["TCP/80"].raw_hits
-        assert "probe-type" in ext.format_probe_types(rows)
-
-    def test_coverage_bounded(self):
-        rows = ext.probe_type_experiment(budget=BUDGET, scale=SCALE)
-        assert all(0.0 <= r.coverage <= 1.0 for r in rows)

@@ -1,7 +1,6 @@
-"""Property-based tests for the dynamic scanners (hypothesis).
+"""Property-based tests for the §8 adaptive scanner (hypothesis).
 
-Invariants shared by the §8 adaptive scanner and the 6Tree-style
-successor: the probe budget is a hard ceiling, reported hits are a
+Invariants: the probe budget is a hard ceiling, reported hits are a
 subset of truly responsive addresses, determinism under a fixed RNG
 seed, and region bookkeeping consistency.
 """
@@ -13,7 +12,6 @@ from repro.core.feedback import run_adaptive
 from repro.scanner.engine import Scanner
 from repro.simnet.aliasing import AliasedRegionSet
 from repro.simnet.ground_truth import GroundTruth
-from repro.successors.sixtree import run_sixtree
 
 
 @st.composite
@@ -68,28 +66,3 @@ class TestAdaptiveProperties:
         assert sum(r.probes for r in result.regions) == result.probes_used
         assert sum(r.hits for r in result.regions) == len(result.hits)
 
-
-class TestSixTreeProperties:
-    @settings(max_examples=20, deadline=None)
-    @given(worlds(), budgets)
-    def test_budget_ceiling_and_hit_validity(self, world, budget):
-        hosts, seeds = world
-        result = run_sixtree(seeds, _scanner(hosts), budget)
-        assert result.probes_used <= budget
-        assert result.hits <= hosts
-
-    @settings(max_examples=15, deadline=None)
-    @given(worlds(), budgets)
-    def test_clean_hits_subset(self, world, budget):
-        hosts, seeds = world
-        result = run_sixtree(seeds, _scanner(hosts), budget)
-        assert result.clean_hits() <= result.hits
-
-    @settings(max_examples=15, deadline=None)
-    @given(worlds(), budgets)
-    def test_deterministic(self, world, budget):
-        hosts, seeds = world
-        a = run_sixtree(seeds, _scanner(hosts), budget, rng_seed=5)
-        b = run_sixtree(seeds, _scanner(hosts), budget, rng_seed=5)
-        assert a.hits == b.hits
-        assert a.expansions == b.expansions

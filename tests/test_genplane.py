@@ -213,15 +213,12 @@ def _targets():
 
 
 class TestColumnScanParity:
-    @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("retries", [0, 2])
-    def test_columns_match_list_scan(self, workers, retries):
+    def test_columns_match_list_scan(self, retries):
         targets = _targets()
         hosts = targets[::7]
         truth = _truth(hosts=hosts, aliased=["2001:db8:1::/96"])
-        config = ScanConfig(
-            batch_size=64, workers=workers, retries=retries
-        )
+        config = ScanConfig(batch_size=64, retries=retries)
 
         def scan(t):
             scanner = Scanner(

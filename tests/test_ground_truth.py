@@ -171,34 +171,6 @@ class TestDefaultInternet:
         assert tiny_internet.as_name(424242) == "AS424242"
 
 
-class TestIcmpv6:
-    def test_all_hosts_answer_ping(self):
-        from repro.simnet.ground_truth import ICMPV6
-
-        truth = GroundTruth({80: {1, 2}, 443: {3}}, AliasedRegionSet())
-        for host in (1, 2, 3):
-            assert truth.is_responsive(host, ICMPV6)
-        assert not truth.is_responsive(4, ICMPV6)
-        assert truth.host_count(ICMPV6) == 3
-
-    def test_aliased_regions_answer_ping(self):
-        from repro.simnet.ground_truth import ICMPV6
-
-        regions = AliasedRegionSet()
-        regions.add_prefix(Prefix.parse("2001:db8::/96"))
-        truth = GroundTruth({80: set()}, regions)
-        probe = Prefix.parse("2001:db8::/96").network + 7
-        assert truth.is_responsive(probe, ICMPV6)
-        assert truth.is_aliased(probe, ICMPV6)
-
-    def test_ping_population_superset_of_tcp(self, tiny_internet):
-        from repro.simnet.ground_truth import ICMPV6
-
-        truth = tiny_internet.truth
-        assert truth.host_count(ICMPV6) >= truth.host_count(80)
-        assert truth.hosts(80) <= truth.hosts(ICMPV6)
-
-
 class TestBatchedOracle:
     def _truth(self):
         regions = AliasedRegionSet()
@@ -213,26 +185,6 @@ class TestBatchedOracle:
             assert truth.responsive_many(probes, port) == [
                 truth.is_responsive(a, port) for a in probes
             ]
-
-    def test_responsive_many_icmp(self):
-        from repro.simnet.ground_truth import ICMPV6
-
-        truth = self._truth()
-        aliased_addr = Prefix.parse("2001:db8:aa::/96").network + 99
-        probes = [10, 11, 99, aliased_addr]
-        assert truth.responsive_many(probes, ICMPV6) == [
-            truth.is_responsive(a, ICMPV6) for a in probes
-        ]
-
-    def test_add_host_invalidates_ping_cache(self):
-        from repro.simnet.ground_truth import ICMPV6
-
-        truth = self._truth()
-        assert not truth.is_responsive(77, ICMPV6)
-        truth.add_host(77, 80)
-        assert truth.is_responsive(77, ICMPV6)
-        truth.remove_host(77, 80)
-        assert not truth.is_responsive(77, ICMPV6)
 
 
 class TestSimInternetMemoisation:

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+import repro.scanner.shm as shm
 from repro.campaign import generate_per_prefix
 from repro.ipv6.prefix import Prefix
 from repro.telemetry.sinks import MemorySink
@@ -43,6 +44,23 @@ for i in range(3):
 generate_per_prefix(groups, 8000, processes=2)
 print(len(consumed))
 """
+
+
+def _large_groups():
+    """Three prefixes whose target columns exceed the inline size."""
+    groups = {}
+    for i in range(3):
+        net = (0x20010DB8 << 96) | (i << 80)
+        groups[Prefix(net, 48)] = [net | (s << 8) | t for s in range(1, 40) for t in (1, 2)]
+    return groups
+
+
+def _segments():
+    """Names of this package's segments in ``/dev/shm``."""
+    shm_dir = pathlib.Path("/dev/shm")
+    if not shm_dir.is_dir():  # pragma: no cover - non-Linux
+        return set()
+    return {path.name for path in shm_dir.glob(f"{shm.SEGMENT_PREFIX}*")}
 
 
 def _poisoned():
@@ -155,3 +173,30 @@ class TestPoolSharedMemory:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "3"
         assert proc.stderr == ""
+
+    @pytest.fixture
+    def consumed(self, monkeypatch):
+        """Specs the parent collected through shared memory."""
+        specs = []
+        consume = shm.consume_arrays
+        monkeypatch.setattr(
+            shm, "consume_arrays", lambda spec: specs.append(spec) or consume(spec)
+        )
+        return specs
+
+    def test_pooled_run_leaves_no_segment(self, consumed):
+        before = _segments()
+        run = generate_per_prefix(_large_groups(), 8000, processes=2)
+        assert len(consumed) == len(run.runs) == 3
+        assert _segments() <= before
+
+    def test_pooled_run_with_failing_prefix_leaves_no_segment(self, consumed):
+        groups = {**_large_groups(), BAD: _groups()[BAD]}
+        budgets = {prefix: 8000 for prefix in groups}
+        budgets[BAD] = -5
+        before = _segments()
+        with pytest.warns(RuntimeWarning, match="failed twice"):
+            run = generate_per_prefix(groups, budgets, processes=2)
+        assert BAD in run.failures
+        assert len(consumed) == len(run.runs) == 3
+        assert _segments() <= before

@@ -588,27 +588,6 @@ class TestDeltaCampaign:
         assert plan.hi.tobytes() == replan.hi.tobytes()
         assert plan.lo.tobytes() == replan.lo.tobytes()
 
-    def test_scan_hits_identical_at_workers_1_and_2(self, world):
-        from dataclasses import replace
-
-        from repro.scanner import ScanConfig
-
-        store, spec = self._seed_store(world)
-        hits = {}
-        for workers in (1, 2):
-            wspec = replace(
-                spec,
-                scan_config=ScanConfig(
-                    use_batched=True, batch_size=64, workers=workers
-                ),
-            )
-            delta = DeltaCampaign(store, world.bgp, wspec)
-            plan = delta.plan(2)
-            assert not plan.is_empty
-            result = delta.campaign(world.truth, plan).run()
-            hits[workers] = result.raw_hits
-        assert hits[1] == hits[2]
-
     def test_reprobe_skips_fresh_belief(self, world):
         store, spec = self._seed_store(world)
         delta = DeltaCampaign(store, world.bgp, spec)

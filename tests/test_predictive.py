@@ -194,14 +194,15 @@ class TestPhasedCampaign:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_deterministic_at_any_worker_count(self, workers):
-        """Plans, hits, and stats are identical at every worker count."""
+        """Plans, hits, and stats are identical at every generation
+        worker count."""
         context = _context()
         baseline = _campaign(
             context, _spec(), allocation=_allocator(context)
         )
         base_result = baseline.run()
         spec = _spec(
-            scan_config=ScanConfig(batch_size=64, retries=1, workers=workers),
+            scan_config=ScanConfig(batch_size=64, retries=1),
             gen_workers=workers,
         )
         campaign = _campaign(context, spec, allocation=_allocator(context))

@@ -134,7 +134,6 @@ class TestScanConfig:
 
         config = ScanConfig()
         assert config.batch_size == 4096
-        assert config.workers == 1
         assert config.use_batched
 
     def test_rejects_bad_values(self):
@@ -142,8 +141,6 @@ class TestScanConfig:
 
         with pytest.raises(ValueError):
             ScanConfig(batch_size=0)
-        with pytest.raises(ValueError):
-            ScanConfig(workers=0)
 
 
 class TestScanStatsMerge:
@@ -192,21 +189,6 @@ class TestScanParity:
             ).scan(targets)
             assert bat.hits == ref.hits
             assert bat.stats == ref.stats
-
-    def test_pool_matches_reference(self):
-        from repro.scanner.engine import ScanConfig
-
-        truth, bl, targets = _parity_world()
-        ref = Scanner(
-            truth, blacklist=bl, loss_rate=0.2, rng_seed=5,
-            config=ScanConfig(use_batched=False),
-        ).scan(targets)
-        pooled = Scanner(
-            truth, blacklist=bl, loss_rate=0.2, rng_seed=5,
-            config=ScanConfig(batch_size=128, workers=2),
-        ).scan(targets)
-        assert pooled.hits == ref.hits
-        assert pooled.stats == ref.stats
 
     def test_unshuffled_parity(self):
         from repro.scanner.engine import ScanConfig
@@ -318,7 +300,7 @@ class TestRetryScan:
         assert explicit.stats == plain.stats
         assert explicit.stats.retransmits == 0
 
-    def test_retry_parity_reference_batched_pool(self):
+    def test_retry_parity_reference_batched(self):
         from repro.scanner.engine import ScanConfig
 
         truth, bl, targets = _parity_world()
@@ -326,7 +308,6 @@ class TestRetryScan:
         for config in (
             ScanConfig(use_batched=False, retries=2),
             ScanConfig(batch_size=64, retries=2),
-            ScanConfig(batch_size=64, workers=2, retries=2),
         ):
             scanner = Scanner(
                 truth, blacklist=bl, loss_rate=0.3, rng_seed=5, config=config

@@ -478,10 +478,9 @@ def _scan_world(n_hosts=400):
 class TestScanParity:
     """Hits and ScanStats must be identical with telemetry on or off."""
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_identical_with_and_without_telemetry(self, workers):
+    def test_identical_with_and_without_telemetry(self):
         truth, blacklist, targets = _scan_world()
-        config = ScanConfig(workers=workers)
+        config = ScanConfig()
         plain = Scanner(
             truth, blacklist=blacklist, loss_rate=0.1, rng_seed=3,
             config=config,
@@ -497,22 +496,21 @@ class TestScanParity:
         assert counters["scan.probes_sent"] == plain.stats.probes_sent
         assert counters["scan.hits"] == len(plain.hits)
 
-    def test_counters_identical_across_worker_counts(self):
+    def test_counters_identical_across_batch_sizes(self):
         truth, blacklist, targets = _scan_world()
 
-        def run(workers):
+        def run(batch_size):
             tele = Telemetry(MemorySink())
             Scanner(
                 truth, blacklist=blacklist, loss_rate=0.1, rng_seed=3,
-                config=ScanConfig(workers=workers), telemetry=tele,
+                config=ScanConfig(batch_size=batch_size), telemetry=tele,
             ).scan(targets)
             counters = tele.snapshot().counters
-            # batch/merge bookkeeping legitimately differs per layout
+            # batch bookkeeping legitimately differs per layout
             counters.pop("scan.batches", None)
-            counters.pop("scan.worker_merges", None)
             return counters
 
-        assert run(1) == run(2)
+        assert run(64) == run(4096)
 
     def test_scan_summary_event_emitted(self):
         truth, blacklist, targets = _scan_world()
@@ -524,7 +522,7 @@ class TestScanParity:
         [summary] = [e for e in sink.events if e["event"] == "scan_summary"]
         assert summary["targets"] == len(set(targets))
         assert summary["probes_sent"] >= summary["hits"] > 0
-        assert {"port", "hit_rate", "workers", "seconds"} <= summary.keys()
+        assert {"port", "hit_rate", "seconds"} <= summary.keys()
 
 
 class TestSixGenParity:
